@@ -1,6 +1,7 @@
 package pq
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,20 +10,26 @@ import (
 
 func benchEncoder(b *testing.B, enc Encoder) {
 	rng := rand.New(rand.NewSource(1))
-	x := mat.New(512, 32).Randn(rng, 1)
+	x := mat.New(512, enc.C()*enc.SubDim()).Randn(rng, 1)
 	enc.Fit(x)
 	idx := make([]int, enc.C())
 	row := x.Row(0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		enc.EncodeRow(row, idx)
 	}
 }
 
-// BenchmarkEncodeKMeans measures exact nearest-prototype encoding (scans all
-// K prototypes per subspace).
+// BenchmarkEncodeKMeans measures exact nearest-prototype encoding (all K
+// distances of a subspace per kernel call). D16_C2_K128 is the shape the
+// configurator picks for the served hierarchy; every case is 0 allocs/op.
 func BenchmarkEncodeKMeans(b *testing.B) {
-	benchEncoder(b, NewKMeansEncoder(32, 4, 128, rand.New(rand.NewSource(2))))
+	for _, s := range []struct{ d, c, k int }{{32, 4, 128}, {16, 2, 128}, {64, 2, 128}} {
+		b.Run(fmt.Sprintf("D%d_C%d_K%d", s.d, s.c, s.k), func(b *testing.B) {
+			benchEncoder(b, NewKMeansEncoder(s.d, s.c, s.k, rand.New(rand.NewSource(2))))
+		})
+	}
 }
 
 // BenchmarkEncodeLSH measures sign-bit hashing (log K hyperplanes per

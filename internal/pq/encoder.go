@@ -37,12 +37,25 @@ func splitCheck(d, c int) int {
 
 // KMeansEncoder learns prototypes with per-subspace k-means and assigns
 // queries to the exact nearest prototype (Eqs. 5 and 7).
+//
+// Encoding is the serving hot path, so besides the point-major centers it
+// keeps a derived dimension-major copy of each subspace's codebook, which
+// lets mat.SqDists compute all K distances of a subspace as independent
+// vector lanes. The copy is rebuilt by Fit and UnmarshalEncoder and never
+// serialized. The distances are bit-identical to the per-prototype scalar
+// scan, and the argmin keeps its first-index tie-break, so encodings do not
+// depend on whether the vector kernel is available.
 type KMeansEncoder struct {
 	d, c, v, k int
 	iters      int
 	rng        *rand.Rand
 	centers    []float64 // [c][k][v]
+	centersT   []float64 // [c][v][k]: dimension-major copy of centers
 }
+
+// maxStackK bounds the per-subspace distance buffer EncodeRow keeps on the
+// stack; larger K falls back to one heap allocation per call.
+const maxStackK = 256
 
 // NewKMeansEncoder creates an exact encoder for D-dim vectors, C subspaces
 // and K prototypes per subspace.
@@ -75,6 +88,20 @@ func (e *KMeansEncoder) Fit(x *mat.Matrix) {
 				e.centers[(c*e.k+k-1)*e.v:(c*e.k+k)*e.v])
 		}
 	}
+	e.transposeCenters()
+}
+
+// transposeCenters rebuilds centersT from centers.
+func (e *KMeansEncoder) transposeCenters() {
+	e.centersT = make([]float64, len(e.centers))
+	for c := 0; c < e.c; c++ {
+		block := e.centersT[c*e.v*e.k : (c+1)*e.v*e.k]
+		for k := 0; k < e.k; k++ {
+			for j, x := range e.Center(c, k) {
+				block[j*e.k+k] = x
+			}
+		}
+	}
 }
 
 // EncodeRow assigns each subspace of row to its nearest prototype.
@@ -83,12 +110,20 @@ func (e *KMeansEncoder) EncodeRow(row []float64, out []int) {
 		panic(fmt.Sprintf("pq: EncodeRow(%d-dim row, %d indices), encoder expects (%d, %d)",
 			len(row), len(out), e.d, e.c))
 	}
+	var buf [maxStackK]float64
+	var dist []float64
+	if e.k <= maxStackK {
+		dist = buf[:e.k]
+	} else {
+		dist = make([]float64, e.k)
+	}
 	for c := 0; c < e.c; c++ {
-		sub := row[c*e.v : (c+1)*e.v]
+		mat.SqDists(dist, row[c*e.v:(c+1)*e.v], e.centersT[c*e.v*e.k:(c+1)*e.v*e.k])
+		// First strict minimum from +Inf: ties go to the lowest index, and
+		// a row whose distances are all NaN or +Inf encodes as 0.
 		best, bestD := 0, math.Inf(1)
-		base := c * e.k * e.v
-		for k := 0; k < e.k; k++ {
-			if dd := sqDist(sub, e.centers[base+k*e.v:base+(k+1)*e.v]); dd < bestD {
+		for k, dd := range dist {
+			if dd < bestD {
 				best, bestD = k, dd
 			}
 		}

@@ -118,11 +118,14 @@ func KMeans(x []float64, n, d, k, iters int, rng *rand.Rand) ([]float64, []int) 
 	return centers, assign
 }
 
+// sqDist is the point-major squared distance used by the Lloyd iterations.
+// The explicit conversion keeps the compiler from fusing the multiply-add,
+// so it rounds exactly like mat.SqDists on every architecture.
 func sqDist(a, b []float64) float64 {
 	var s float64
 	for i, v := range a {
 		d := v - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }

@@ -68,6 +68,7 @@ func UnmarshalEncoder(state any) (Encoder, error) {
 			return nil, fmt.Errorf("pq: kmeans centers length %d, want %d", len(st.Centers), e.c*e.k*e.v)
 		}
 		e.centers = append([]float64(nil), st.Centers...)
+		e.transposeCenters()
 		return e, nil
 	case "lsh":
 		e := NewLSHEncoder(st.D, st.C, st.K, rand.New(rand.NewSource(0)))

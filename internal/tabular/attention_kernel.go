@@ -114,7 +114,7 @@ func NewAttentionKernel(ts AttentionTrainingSet, cfg KernelConfig, mode SoftmaxM
 				ik := ikByRow[t2]
 				var sum float64
 				for c := 0; c < ck; c++ {
-					sum += a.qkAt(c*kk+iq[c], ik[c])
+					sum += tableAt(a.qkTable, a.qkQuant, kk, c*kk+iq[c], ik[c])
 				}
 				row[t2] = sum
 			}
@@ -146,12 +146,13 @@ func NewAttentionKernel(ts AttentionTrainingSet, cfg KernelConfig, mode SoftmaxM
 	return a
 }
 
-// qkAt reads one QK-table cell through whichever representation is live.
-func (a *AttentionKernel) qkAt(r, j int) float64 {
-	if a.qkQuant != nil {
-		return a.qkQuant.at(r, j)
+// tableAt reads cell (r, j) of a table through whichever representation is
+// live: the quantized form when qt is set, else float64 rows of rowLen.
+func tableAt(f []float64, qt *quantTable, rowLen, r, j int) float64 {
+	if qt != nil {
+		return qt.at(r, j)
 	}
-	return a.qkTable[r*a.encQ.K()+j]
+	return f[r*rowLen+j]
 }
 
 // buildQKVTable folds scaling and softmax into the second-stage table.
@@ -201,82 +202,15 @@ func (a *AttentionKernel) buildQKVTable() {
 	}
 }
 
-// Query runs the two lookup rounds for one sample: Q, K, V are T x Dk.
+// Query runs the two lookup rounds for one sample: Q, K, V are T x Dk. The
+// per-sample index and score buffers live in two flat scratch slices, so a
+// query allocates a constant three slices regardless of T and Dk, for float
+// and quantized tables alike.
 func (a *AttentionKernel) Query(q, k, v *mat.Matrix) *mat.Matrix {
 	t := a.T
 	if q.Rows != t || q.Cols != a.Dk {
 		panic(fmt.Sprintf("tabular: attention query shape %dx%d, want %dx%d", q.Rows, q.Cols, t, a.Dk))
 	}
-	if a.qkQuant != nil {
-		return a.queryQuant(q, k, v)
-	}
-	ck, kk := a.encQ.C(), a.encQ.K()
-	// Round 1: scores from the QK table (Eq. 13).
-	iq := make([]int, ck)
-	ik := make([][]int, t)
-	for r := range ik {
-		ik[r] = make([]int, ck)
-		a.encK.EncodeRow(k.Row(r), ik[r])
-	}
-	scores := mat.New(t, t)
-	for t1 := 0; t1 < t; t1++ {
-		a.encQ.EncodeRow(q.Row(t1), iq)
-		row := scores.Row(t1)
-		for t2 := 0; t2 < t; t2++ {
-			ikr := ik[t2]
-			var sum float64
-			for c := 0; c < ck; c++ {
-				sum += a.qkTable[(c*kk+iq[c])*kk+ikr[c]]
-			}
-			row[t2] = sum
-		}
-	}
-	// Round 2: encode score rows and V columns, look up the QKV table (Eq. 15).
-	ct, ks := a.encS.C(), a.encS.K()
-	ivs := make([][]int, a.Dk)
-	col := make([]float64, t)
-	for d := 0; d < a.Dk; d++ {
-		for tt := 0; tt < t; tt++ {
-			col[tt] = v.At(tt, d)
-		}
-		ivs[d] = make([]int, ct)
-		a.encV.EncodeRow(col, ivs[d])
-	}
-	out := mat.New(t, a.Dk)
-	is := make([]int, ct)
-	for t1 := 0; t1 < t; t1++ {
-		a.encS.EncodeRow(scores.Row(t1), is)
-		var den float64
-		if a.mode == SoftmaxShared {
-			for c, i := range is {
-				den += a.denTable[c*ks+i]
-			}
-			if den == 0 {
-				den = 1
-			}
-		}
-		orow := out.Row(t1)
-		for d := 0; d < a.Dk; d++ {
-			iv := ivs[d]
-			var num float64
-			for c, i := range is {
-				num += a.qkvTable[(c*ks+i)*ks+iv[c]]
-			}
-			if a.mode == SoftmaxShared {
-				num /= den
-			}
-			orow[d] = num
-		}
-	}
-	return out
-}
-
-// queryQuant runs both lookup rounds against the quantized tables. The many
-// per-sample index and score buffers of the float path collapse into two
-// flat scratch allocations, so the quantized kernel allocates a constant
-// three slices per sample regardless of T and Dk.
-func (a *AttentionKernel) queryQuant(q, k, v *mat.Matrix) *mat.Matrix {
-	t := a.T
 	ck, kk := a.encQ.C(), a.encQ.K()
 	ct, ks := a.encS.C(), a.encS.K()
 	ints := make([]int, ck+t*ck+a.Dk*ct+ct)
@@ -288,7 +222,7 @@ func (a *AttentionKernel) queryQuant(q, k, v *mat.Matrix) *mat.Matrix {
 	scores := fl[:t*t]
 	col := fl[t*t:]
 
-	// Round 1: scores from the quantized QK table (Eq. 13).
+	// Round 1: scores from the QK table (Eq. 13).
 	for r := 0; r < t; r++ {
 		a.encK.EncodeRow(k.Row(r), ik[r*ck:(r+1)*ck])
 	}
@@ -299,12 +233,13 @@ func (a *AttentionKernel) queryQuant(q, k, v *mat.Matrix) *mat.Matrix {
 			ikr := ik[t2*ck : (t2+1)*ck]
 			var sum float64
 			for c := 0; c < ck; c++ {
-				sum += a.qkQuant.at(c*kk+iq[c], ikr[c])
+				sum += tableAt(a.qkTable, a.qkQuant, kk, c*kk+iq[c], ikr[c])
 			}
 			row[t2] = sum
 		}
 	}
-	// Round 2: quantized QKV lookups with the float64 denominator (Eq. 15).
+	// Round 2: encode score rows and V columns, look up the QKV table with
+	// the float64 denominator (Eq. 15).
 	for d := 0; d < a.Dk; d++ {
 		for tt := 0; tt < t; tt++ {
 			col[tt] = v.At(tt, d)
@@ -328,7 +263,7 @@ func (a *AttentionKernel) queryQuant(q, k, v *mat.Matrix) *mat.Matrix {
 			ivd := ivs[d*ct : (d+1)*ct]
 			var num float64
 			for c, i := range is {
-				num += a.qkvQuant.at(c*ks+i, ivd[c])
+				num += tableAt(a.qkvTable, a.qkvQuant, ks, c*ks+i, ivd[c])
 			}
 			if a.mode == SoftmaxShared {
 				num /= den

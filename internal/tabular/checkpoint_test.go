@@ -9,6 +9,7 @@ import (
 
 	"dart/internal/mat"
 	"dart/internal/nn"
+	"dart/internal/pq"
 )
 
 // ckptHierarchy tabularizes a tiny transformer so checkpoint tests exercise
@@ -145,5 +146,73 @@ func TestTableCheckpointCorruption(t *testing.T) {
 		t.Fatal("table checkpoint loaded as nn parameters")
 	} else if !strings.Contains(err.Error(), "bad magic") {
 		t.Fatalf("cross-format load error %q does not mention the magic", err)
+	}
+}
+
+// layerEncoders collects every prototype encoder of a layer list, in layer
+// order, descending into residual blocks and MSA kernels.
+func layerEncoders(layers []Layer) []pq.Encoder {
+	var out []pq.Encoder
+	for _, l := range layers {
+		switch v := l.(type) {
+		case *LinearKernel:
+			out = append(out, v.enc)
+		case *MSAKernel:
+			out = append(out, v.WQ.enc, v.WK.enc, v.WV.enc, v.WO.enc)
+			for _, h := range v.Heads {
+				out = append(out, h.encQ, h.encK, h.encS, h.encV)
+			}
+		case *ResidualTab:
+			out = append(out, layerEncoders(v.Inner)...)
+		}
+	}
+	return out
+}
+
+// TestTableCheckpointKMeansEncoding: a k-means hierarchy restored from a
+// DARTTAB1 checkpoint encodes every probe row exactly like the in-memory
+// one, at every encoder — the dimension-major codebook copy the distance
+// kernel reads is not serialized, so this proves decoding rebuilds it.
+func TestTableCheckpointKMeansEncoding(t *testing.T) {
+	m, x, _ := smallModelAndData(23)
+	h := Tabularize(m, x, Config{Kernel: KernelConfig{K: 32, C: 2}, Seed: 5}).Hierarchy
+	var buf bytes.Buffer
+	if err := SaveCheckpoint(&buf, h, nn.CheckpointMeta{Class: "dart", Version: 1}); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := LoadCheckpoint(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, have := layerEncoders(h.Layers), layerEncoders(got.Layers)
+	if len(want) == 0 || len(want) != len(have) {
+		t.Fatalf("restored %d encoders, want %d (> 0)", len(have), len(want))
+	}
+	rng := rand.New(rand.NewSource(4))
+	for e, enc := range want {
+		if _, ok := enc.(*pq.KMeansEncoder); !ok {
+			t.Fatalf("encoder %d is %T, want k-means", e, enc)
+		}
+		d := enc.C() * enc.SubDim()
+		row := make([]float64, d)
+		wi, gi := make([]int, enc.C()), make([]int, enc.C())
+		for p := 0; p < 2*enc.K(); p++ {
+			for c := 0; c < enc.C(); c++ {
+				if p < enc.K() { // prototype rows: exact zero-distance hits
+					copy(row[c*enc.SubDim():], enc.Center(c, (p+c)%enc.K()))
+					continue
+				}
+				for j := c * enc.SubDim(); j < (c+1)*enc.SubDim(); j++ {
+					row[j] = rng.NormFloat64() * 2
+				}
+			}
+			enc.EncodeRow(row, wi)
+			have[e].EncodeRow(row, gi)
+			for c := range wi {
+				if wi[c] != gi[c] {
+					t.Fatalf("encoder %d probe %d subspace %d: restored %d, in-memory %d", e, p, c, gi[c], wi[c])
+				}
+			}
+		}
 	}
 }
