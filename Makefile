@@ -125,10 +125,13 @@ cover:
 docs-lint:
 	$(GO) run ./cmd/dart-doccheck -root .
 
-## fuzz: timed coverage-guided fuzzing of the CSV trace reader (the per-PR
-## tier replays the committed corpus as ordinary tests; nightly runs 5m)
+## fuzz: timed coverage-guided fuzzing of the CSV trace reader and of the
+## nearest-prototype kernel against its scalar reference, FUZZTIME each (the
+## per-PR tier replays the committed corpora as ordinary tests; nightly runs
+## 5m)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScanner -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzNearest -fuzztime $(FUZZTIME) ./internal/mat
 
 ## cover-update: ratchet the committed baseline up to the measured value
 cover-update:

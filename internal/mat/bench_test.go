@@ -88,3 +88,25 @@ func BenchmarkRowSoftmax(b *testing.B) {
 		m.RowSoftmax()
 	}
 }
+
+// BenchmarkNearest measures one exact nearest-prototype search at K=128 over
+// the served subspace widths (V=8 is the configurator's D16 C2 shape); it
+// allocates nothing.
+func BenchmarkNearest(b *testing.B) {
+	for _, v := range []int{4, 8} {
+		b.Run(fmt.Sprintf("K128_V%d", v), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x, ct := make([]float64, v), make([]float64, v*128)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			for i := range ct {
+				ct[i] = rng.NormFloat64()
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				Nearest(x, ct, 128)
+			}
+		})
+	}
+}

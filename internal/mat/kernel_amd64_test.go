@@ -2,18 +2,15 @@
 
 package mat
 
-import "testing"
-
-// forEachKernel runs fn once with the scalar fallback forced and, on hosts
+// eachKernel calls fn once with the scalar fallback forced and, on hosts
 // with AVX2, once more with the vector kernel, restoring the gate after.
-func forEachKernel(t *testing.T, fn func(t *testing.T)) {
-	t.Helper()
+func eachKernel(fn func(vector bool)) {
 	saved := useVectorKernel
 	defer func() { useVectorKernel = saved }()
 	useVectorKernel = false
-	t.Run("scalar", fn)
+	fn(false)
 	if saved {
 		useVectorKernel = true
-		t.Run("vector", fn)
+		fn(true)
 	}
 }

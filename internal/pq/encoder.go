@@ -2,7 +2,6 @@ package pq
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"dart/internal/mat"
@@ -40,11 +39,12 @@ func splitCheck(d, c int) int {
 //
 // Encoding is the serving hot path, so besides the point-major centers it
 // keeps a derived dimension-major copy of each subspace's codebook, which
-// lets mat.SqDists compute all K distances of a subspace as independent
-// vector lanes. The copy is rebuilt by Fit and UnmarshalEncoder and never
+// mat.Nearest streams once per subspace, computing the K distances as
+// independent vector lanes and keeping a running first minimum per lane in
+// registers. The copy is rebuilt by Fit and UnmarshalEncoder and never
 // serialized. The distances are bit-identical to the per-prototype scalar
-// scan, and the argmin keeps its first-index tie-break, so encodings do not
-// depend on whether the vector kernel is available.
+// scan and ties go to the lowest index, so encodings do not depend on
+// whether the vector kernel is available.
 type KMeansEncoder struct {
 	d, c, v, k int
 	iters      int
@@ -52,10 +52,6 @@ type KMeansEncoder struct {
 	centers    []float64 // [c][k][v]
 	centersT   []float64 // [c][v][k]: dimension-major copy of centers
 }
-
-// maxStackK bounds the per-subspace distance buffer EncodeRow keeps on the
-// stack; larger K falls back to one heap allocation per call.
-const maxStackK = 256
 
 // NewKMeansEncoder creates an exact encoder for D-dim vectors, C subspaces
 // and K prototypes per subspace.
@@ -94,13 +90,9 @@ func (e *KMeansEncoder) Fit(x *mat.Matrix) {
 // transposeCenters rebuilds centersT from centers.
 func (e *KMeansEncoder) transposeCenters() {
 	e.centersT = make([]float64, len(e.centers))
+	n := e.v * e.k
 	for c := 0; c < e.c; c++ {
-		block := e.centersT[c*e.v*e.k : (c+1)*e.v*e.k]
-		for k := 0; k < e.k; k++ {
-			for j, x := range e.Center(c, k) {
-				block[j*e.k+k] = x
-			}
-		}
+		dimMajor(e.centersT[c*n:(c+1)*n], e.centers[c*n:(c+1)*n], e.k, e.v)
 	}
 }
 
@@ -110,24 +102,9 @@ func (e *KMeansEncoder) EncodeRow(row []float64, out []int) {
 		panic(fmt.Sprintf("pq: EncodeRow(%d-dim row, %d indices), encoder expects (%d, %d)",
 			len(row), len(out), e.d, e.c))
 	}
-	var buf [maxStackK]float64
-	var dist []float64
-	if e.k <= maxStackK {
-		dist = buf[:e.k]
-	} else {
-		dist = make([]float64, e.k)
-	}
+	n := e.v * e.k
 	for c := 0; c < e.c; c++ {
-		mat.SqDists(dist, row[c*e.v:(c+1)*e.v], e.centersT[c*e.v*e.k:(c+1)*e.v*e.k])
-		// First strict minimum from +Inf: ties go to the lowest index, and
-		// a row whose distances are all NaN or +Inf encodes as 0.
-		best, bestD := 0, math.Inf(1)
-		for k, dd := range dist {
-			if dd < bestD {
-				best, bestD = k, dd
-			}
-		}
-		out[c] = best
+		out[c] = mat.Nearest(row[c*e.v:(c+1)*e.v], e.centersT[c*n:(c+1)*n], e.k)
 	}
 }
 

@@ -129,12 +129,12 @@ func TestKMeansEncodeRowNonFinite(t *testing.T) {
 	}
 }
 
-// TestKMeansEncoderLargeK covers the heap fallback for K beyond the stack
-// distance buffer.
+// TestKMeansEncoderLargeK covers a K beyond the served shapes, with a
+// scalar tail after the vector body (296 = 18·16 + 8).
 func TestKMeansEncoderLargeK(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	x := mat.New(600, 8).Randn(rng, 1)
-	enc := NewKMeansEncoder(8, 2, maxStackK+40, rng)
+	enc := NewKMeansEncoder(8, 2, 296, rng)
 	enc.Fit(x)
 	sameEncoding(t, "K296", enc, encodeProbes(enc, x, rng), func(r []float64, out []int) { scanEncode(enc, r, out) })
 }
@@ -176,7 +176,7 @@ func TestKMeansEncoderStateRoundTrip(t *testing.T) {
 }
 
 // TestKMeansEncodeRowNoAlloc pins the zero-allocation contract of exact
-// encoding at the served shape (the distance buffer lives on the stack).
+// encoding at the served shape (no distance is stored anywhere).
 func TestKMeansEncodeRowNoAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	x := mat.New(300, 16).Randn(rng, 1)

@@ -10,8 +10,9 @@
 package pq
 
 import (
-	"math"
 	"math/rand"
+
+	"dart/internal/mat"
 )
 
 // KMeans clusters rows of x (n rows, dim d, flattened row-major) into k
@@ -57,16 +58,12 @@ func KMeans(x []float64, n, d, k, iters int, rng *rand.Rand) ([]float64, []int) 
 	}
 	assign := make([]int, n)
 	counts := make([]int, k)
+	ct := make([]float64, k*d) // dimension-major copy of centers for mat.Nearest
 	for it := 0; it < iters; it++ {
 		changed := false
+		dimMajor(ct, centers, k, d)
 		for i := 0; i < n; i++ {
-			row := x[i*d : (i+1)*d]
-			best, bestD := 0, math.Inf(1)
-			for c := 0; c < k; c++ {
-				if dd := sqDist(row, centers[c*d:(c+1)*d]); dd < bestD {
-					best, bestD = c, dd
-				}
-			}
+			best := mat.Nearest(x[i*d:(i+1)*d], ct, k)
 			if assign[i] != best {
 				assign[i] = best
 				changed = true
@@ -105,22 +102,26 @@ func KMeans(x []float64, n, d, k, iters int, rng *rand.Rand) ([]float64, []int) 
 		}
 	}
 	// Final assignment against final centers.
+	dimMajor(ct, centers, k, d)
 	for i := 0; i < n; i++ {
-		row := x[i*d : (i+1)*d]
-		best, bestD := 0, math.Inf(1)
-		for c := 0; c < k; c++ {
-			if dd := sqDist(row, centers[c*d:(c+1)*d]); dd < bestD {
-				best, bestD = c, dd
-			}
-		}
-		assign[i] = best
+		assign[i] = mat.Nearest(x[i*d:(i+1)*d], ct, k)
 	}
 	return centers, assign
 }
 
-// sqDist is the point-major squared distance used by the Lloyd iterations.
+// dimMajor writes the k point-major prototypes of length v in src into dst
+// laid out [v][k], the codebook layout mat.Nearest streams.
+func dimMajor(dst, src []float64, k, v int) {
+	for i := 0; i < k; i++ {
+		for j, x := range src[i*v : (i+1)*v] {
+			dst[j*k+i] = x
+		}
+	}
+}
+
+// sqDist is the point-major squared distance used by k-means++ seeding.
 // The explicit conversion keeps the compiler from fusing the multiply-add,
-// so it rounds exactly like mat.SqDists on every architecture.
+// so it rounds exactly like mat.Nearest on every architecture.
 func sqDist(a, b []float64) float64 {
 	var s float64
 	for i, v := range a {

@@ -53,6 +53,32 @@ func TestKMeansAssignmentIsNearest(t *testing.T) {
 	}
 }
 
+// TestKMeansFinalAssignmentIsFirstNearest pins the exact assignment rule
+// behind the Lloyd steps: every row goes to the first strict minimum of the
+// point-major sqDist scan over the final centers, on both sides of the
+// 16-prototype vector block and with duplicated training rows.
+func TestKMeansFinalAssignmentIsFirstNearest(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, s := range []struct{ n, d, k int }{{100, 3, 5}, {300, 8, 16}, {400, 8, 40}, {600, 4, 128}} {
+		x := mat.New(s.n, s.d).Randn(rng, 1)
+		for i := 1; i < s.n; i += 7 {
+			copy(x.Row(i), x.Row(i-1))
+		}
+		centers, assign := KMeans(x.Data, s.n, s.d, s.k, 10, rng)
+		for i := 0; i < s.n; i++ {
+			want, bestD := 0, math.Inf(1)
+			for c := 0; c < s.k; c++ {
+				if dd := sqDist(x.Row(i), centers[c*s.d:(c+1)*s.d]); dd < bestD {
+					want, bestD = c, dd
+				}
+			}
+			if assign[i] != want {
+				t.Fatalf("n=%d d=%d k=%d: row %d assigned to %d, first nearest is %d", s.n, s.d, s.k, i, assign[i], want)
+			}
+		}
+	}
+}
+
 func TestKMeansSingleCluster(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x := mat.New(50, 2).Randn(rng, 1)
