@@ -1,166 +1,270 @@
-// Command dart-benchcheck is the CI perf-regression gate: it parses `go test
-// -bench` output for the parallel-engine benchmarks and compares it against
-// the baseline recorded in BENCH_par.json.
+// Command dart-benchcheck is the CI perf-regression gate. It parses `go test
+// -bench -benchmem` output and checks it against one ordered table of gates
+// (see gates), each row reading a baseline value from BENCH_par.json or
+// BENCH_serve.json, measurements from the bench output, or both.
 //
-//	go test -run '^$' -bench 'BenchmarkMatMul|BenchmarkHierarchyQueryBatch' \
-//	    ./internal/mat ./internal/tabular > bench.out
-//	dart-benchcheck -baseline BENCH_par.json bench.out
+//	dart-benchcheck -baseline BENCH_par.json -serve-baseline BENCH_serve.json bench-ci.out
+//	dart-benchcheck -write BENCH_serve.json bench-update.out
 //
-// Two kinds of checks run:
+// A measured key is a benchmark name (its ns/op), name@allocs (the -benchmem
+// column) or name@storage_bytes (the metric the infer benchmarks report);
+// repeated lines, as from -count, keep the minimum. Each row has one kind:
 //
-//   - Absolute: every measured benchmark with a baseline entry must be no
-//     slower than baseline * tolerance (default 1.5x — generous, because CI
-//     hosts differ from the recording host; the gate catches gross
-//     regressions like losing the vector kernel or the worker pool, not
-//     single-digit drift).
-//   - Relative (host-independent): within the same run, ParMulInto at the
-//     largest measured size must beat the serial seed kernel by at least
-//     -min-speedup (default 2x, PR 1's acceptance bar). This holds on any
-//     host because both sides ran on it seconds apart.
+//   - tolerance: measured <= baseline × 1.5. Generous because CI hosts differ
+//     from the recording host: it catches a lost vector kernel or worker pool,
+//     not single-digit drift.
+//   - exact-allocs: measured allocs/op <= baseline, no tolerance. Allocation
+//     counts are deterministic and most baselines are 0, so one new
+//     allocation on a serving hot path fails.
+//   - ratio: num/den against a constant bar (>, >= or <=). Both sides ran in
+//     the same run on the same host, so the bar holds on any host: the
+//     student beats the teacher, dart tables beat the student, int8 tables
+//     beat float ones and are >= 4x smaller, the router hop stays <= 3x a
+//     direct access, and par w4 beats serial >= 2x at the largest matmul size
+//     measured on both sides. One ratio is recorded rather than measured: the
+//     binary replay throughput must be >= 5x the JSON one, both read from
+//     BENCH_serve.json, where the replay commands of `make bench-update`
+//     record them.
+//   - record: a field -write refreshes that no check reads (storage_bytes).
 //
-// With -serve-baseline the gate also covers the online-training,
-// distilled-student, and dart-table benchmarks (feedback ingest, model swap,
-// teacher/student/dart inference, distill cycle, table swap) against the
-// "online" section of BENCH_serve.json, plus three host-independent same-run
-// checks: the student must be strictly faster than the teacher (ns/op) and
-// strictly smaller (the storage_bytes metric the infer benchmarks report),
-// and dart table inference must be strictly faster than the student — the
-// paper's core claim. -write-online flips the tool into
-// update mode: it parses those benchmarks from the input and rewrites the
-// "online" section in place — `make bench-update` uses this to refresh every
-// serving baseline in one step.
+// BENCH_par.json rows warn when their baseline or measurement is absent,
+// because CI may shrink the matmul grid. BENCH_serve.json rows fail closed:
+// an absent section, baseline or measurement exits 2, since a benchmark
+// dropped from bench-ci would otherwise silently stop its gate.
 //
-// -serve-baseline additionally gates the DARTWIRE1 binary protocol against
-// the "binary" section of the same file: BenchmarkWireCodec and
-// BenchmarkWireAccessBinary are checked for ns/op regressions like any other
-// benchmark, and their allocs/op (parsed from -benchmem output) must not
-// exceed the recorded baseline — which is zero, the tentpole's zero-alloc
-// guarantee, so a single new steady-state allocation on the binary hot path
-// fails CI. One static check needs no measurement at all: the recorded
-// binary replay throughput must beat the recorded JSON replay throughput
-// ("report".Throughput) by at least -min-wire-speedup (default 5x, the
-// binary protocol's acceptance bar; both numbers were recorded on the same
-// host by `make bench-update`). -write-binary rewrites the codec/alloc
-// fields of the "binary" section from measured benchmarks, preserving the
-// replay_* fields that `dart-serve -replay -proto binary -json` maintains.
+// -write rewrites every BENCH_serve.json section whose benchmarks are all in
+// the input and keeps every key no row owns, such as the replay_* fields
+// dart-serve and dart-router record. A section only partly in the input
+// refuses with exit 2 and writes nothing.
 //
-// -serve-baseline also gates the quantized dart tables against the "quant"
-// section of the same file: BenchmarkDartInferQuant (ns/op within tolerance,
-// allocs/op at most the recorded baseline) and BenchmarkQuantRowAccum — the
-// SIMD gather-accumulate micro-kernel, whose alloc baseline is zero, so a
-// single allocation on the quantized row hot path fails CI. Two
-// host-independent same-run checks ride along: quantized dart inference must
-// be strictly faster than float dart inference, and its reported
-// storage_bytes metric must be at least -min-quant-shrink times smaller
-// (default 4x, the int8 acceptance bar) — both sides measured seconds apart
-// on the same host. -write-quant rewrites the "quant" section from measured
-// benchmarks, preserving every other key in the file.
-//
-// -serve-baseline also gates the sharding tier against the "router" section
-// of the same file: BenchmarkRouterAccess and BenchmarkDirectAccess are
-// checked for ns/op regressions, and the same-run routed-vs-direct overhead
-// ratio (both sides measured seconds apart on the same host, through the
-// same loopback wire) must stay under -max-router-overhead (default 3x) —
-// the router hop's decode → journal → re-encode must stay a constant factor,
-// not a new bottleneck. -write-router rewrites the ns fields of the "router"
-// section from measured benchmarks, preserving the replay_* fields that
-// `dart-router -replay -json` maintains.
-//
-// Exit status 0 when every check passes, 1 on regression, 2 on usage or
+// Exit status 0 when every check passes, 1 on a failed check, 2 on usage or
 // missing-data errors.
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
+	"strings"
 )
 
-// baseline mirrors the relevant parts of BENCH_par.json.
-type baseline struct {
-	MatMul []struct {
-		N        int                `json:"n"`
-		SerialNs float64            `json:"serial_ns"`
-		ParNs    map[string]float64 `json:"par_ns"`
-	} `json:"matmul"`
-	Tabular struct {
-		NsPerOp float64 `json:"ns_per_op"`
-	} `json:"tabular"`
+// tolerance is the allowed slowdown of a measurement over its baseline.
+const tolerance = 1.5
+
+// doc names the baseline file a row reads.
+type doc int
+
+const (
+	parDoc   doc = iota // -baseline, BENCH_par.json
+	serveDoc            // -serve-baseline / -write, BENCH_serve.json
+)
+
+// kind is how a row compares; see the package comment.
+type kind int
+
+const (
+	tol kind = iota
+	exactAllocs
+	ratio
+	record
+)
+
+// gate is one row of the table. Non-ratio rows pair the baseline value at
+// section.field with the measured key; ratio rows divide num by den.
+type gate struct {
+	doc            doc
+	section, field string
+	key            string
+	kind           kind
+
+	name     string  // ratio rows' report name; other rows report as key
+	num, den string  // measured keys, or section.field paths when recorded
+	recorded bool    // num and den are read from the baseline file
+	sizes    []int   // num, den and name hold %d: use the largest size measured on both sides
+	cmp      string  // ">", ">=" or "<="
+	bar      float64 // the constant the ratio is compared against
 }
 
-// onlineBaseline is the "online" section of BENCH_serve.json: the
-// online-training and distilled-student benchmarks gated alongside the
-// engine ones.
-type onlineBaseline struct {
-	FeedbackIngestNs    float64 `json:"feedback_ingest_ns"`
-	SwapNs              float64 `json:"swap_ns"`
-	TeacherInferNs      float64 `json:"teacher_infer_ns"`
-	StudentInferNs      float64 `json:"student_infer_ns"`
-	DistillCycleNs      float64 `json:"distill_cycle_ns"`
-	DartInferNs         float64 `json:"dart_infer_ns"`
-	TabularSwapNs       float64 `json:"tabular_swap_ns"`
-	TeacherStorageBytes float64 `json:"teacher_storage_bytes"`
-	StudentStorageBytes float64 `json:"student_storage_bytes"`
-	DartStorageBytes    float64 `json:"dart_storage_bytes"`
+// matmulSizes is the BENCH_par.json grid, ascending.
+var matmulSizes = []int{64, 128, 256, 512, 1024}
 
-	// Promotion-policy live-observation hot path: gated on ns/op like the
-	// other online benchmarks, and on allocs/op with no tolerance — the
-	// batcher calls ObserveLive on every shadow-compared batch, so a single
-	// new steady-state allocation there fails CI (same contract as the
-	// binary wire hot path).
-	PolicyDecisionNs     float64 `json:"policy_decision_ns"`
-	PolicyDecisionAllocs float64 `json:"policy_decision_allocs"`
+// gates is the whole gate, in report order.
+var gates = append(parGates(),
+	serveRow("online", "feedback_ingest_ns", "BenchmarkFeedbackIngest", tol),
+	serveRow("online", "swap_ns", "BenchmarkModelSwap", tol),
+	serveRow("online", "teacher_infer_ns", "BenchmarkTeacherInfer", tol),
+	serveRow("online", "student_infer_ns", "BenchmarkStudentInfer", tol),
+	serveRow("online", "distill_cycle_ns", "BenchmarkDistillCycle", tol),
+	serveRow("online", "dart_infer_ns", "BenchmarkDartInfer", tol),
+	serveRow("online", "tabular_swap_ns", "BenchmarkTabularSwap", tol),
+	serveRow("online", "teacher_storage_bytes", "BenchmarkTeacherInfer@storage_bytes", record),
+	serveRow("online", "student_storage_bytes", "BenchmarkStudentInfer@storage_bytes", record),
+	serveRow("online", "dart_storage_bytes", "BenchmarkDartInfer@storage_bytes", record),
+	serveRow("online", "policy_decision_ns", "BenchmarkPolicyDecision", tol),
+	serveRow("online", "policy_decision_allocs", "BenchmarkPolicyDecision@allocs", exactAllocs),
+	sameRun("online", "speedup(student vs teacher infer, same run)", "BenchmarkTeacherInfer", "BenchmarkStudentInfer", ">", 1),
+	sameRun("online", "shrink(student vs teacher storage_bytes)", "BenchmarkTeacherInfer@storage_bytes", "BenchmarkStudentInfer@storage_bytes", ">", 1),
+	sameRun("online", "speedup(dart vs student infer, same run)", "BenchmarkStudentInfer", "BenchmarkDartInfer", ">", 1),
+
+	serveRow("quant", "dart_infer_quant_ns", "BenchmarkDartInferQuant", tol),
+	serveRow("quant", "dart_infer_quant_allocs", "BenchmarkDartInferQuant@allocs", exactAllocs),
+	serveRow("quant", "dart_quant_storage_bytes", "BenchmarkDartInferQuant@storage_bytes", record),
+	serveRow("quant", "quant_row_ns", "BenchmarkQuantRowAccum", tol),
+	serveRow("quant", "quant_row_allocs", "BenchmarkQuantRowAccum@allocs", exactAllocs),
+	sameRun("quant", "speedup(quant vs float dart infer, same run)", "BenchmarkDartInfer", "BenchmarkDartInferQuant", ">", 1),
+	sameRun("quant", "shrink(quant vs float dart storage_bytes)", "BenchmarkDartInfer@storage_bytes", "BenchmarkDartInferQuant@storage_bytes", ">=", 4),
+
+	serveRow("binary", "codec_ns", "BenchmarkWireCodec", tol),
+	serveRow("binary", "codec_allocs", "BenchmarkWireCodec@allocs", exactAllocs),
+	serveRow("binary", "wire_access_ns", "BenchmarkWireAccessBinary", tol),
+	serveRow("binary", "wire_access_allocs", "BenchmarkWireAccessBinary@allocs", exactAllocs),
+	gate{doc: serveDoc, section: "binary", kind: ratio, name: "speedup(binary vs json replay, recorded)",
+		num: "binary.replay_throughput", den: "report.Throughput", recorded: true, cmp: ">=", bar: 5},
+
+	serveRow("router", "router_access_ns", "BenchmarkRouterAccess", tol),
+	serveRow("router", "direct_access_ns", "BenchmarkDirectAccess", tol),
+	sameRun("router", "overhead(routed vs direct access, same run)", "BenchmarkRouterAccess", "BenchmarkDirectAccess", "<=", 3),
+)
+
+// parGates are the BENCH_par.json rows: every matmul grid point, the tabular
+// batch query, and the par-vs-serial speedup.
+func parGates() []gate {
+	var gs []gate
+	for _, n := range matmulSizes {
+		sec := fmt.Sprintf("matmul.n=%d", n)
+		gs = append(gs, gate{doc: parDoc, section: sec, field: "serial_ns", key: fmt.Sprintf("BenchmarkMatMul/serial/n%d", n), kind: tol})
+		for _, w := range []string{"w1", "w2", "w4"} {
+			gs = append(gs, gate{doc: parDoc, section: sec, field: "par_ns." + w, key: fmt.Sprintf("BenchmarkMatMul/par/n%d/%s", n, w), kind: tol})
+		}
+	}
+	return append(gs,
+		gate{doc: parDoc, section: "tabular", field: "ns_per_op", key: "BenchmarkHierarchyQueryBatch", kind: tol},
+		gate{doc: parDoc, section: "matmul", kind: ratio, name: "speedup(par w4 vs serial, n=%d)",
+			num: "BenchmarkMatMul/serial/n%d", den: "BenchmarkMatMul/par/n%d/w4", sizes: matmulSizes, cmp: ">=", bar: 2},
+	)
 }
 
-// onlineBenchNames maps the gated benchmarks to their baseline fields.
-var onlineBenchNames = map[string]func(onlineBaseline) float64{
-	"BenchmarkFeedbackIngest": func(b onlineBaseline) float64 { return b.FeedbackIngestNs },
-	"BenchmarkModelSwap":      func(b onlineBaseline) float64 { return b.SwapNs },
-	"BenchmarkTeacherInfer":   func(b onlineBaseline) float64 { return b.TeacherInferNs },
-	"BenchmarkStudentInfer":   func(b onlineBaseline) float64 { return b.StudentInferNs },
-	"BenchmarkDistillCycle":   func(b onlineBaseline) float64 { return b.DistillCycleNs },
-	"BenchmarkDartInfer":      func(b onlineBaseline) float64 { return b.DartInferNs },
-	"BenchmarkTabularSwap":    func(b onlineBaseline) float64 { return b.TabularSwapNs },
-	"BenchmarkPolicyDecision": func(b onlineBaseline) float64 { return b.PolicyDecisionNs },
+func serveRow(section, field, key string, k kind) gate {
+	return gate{doc: serveDoc, section: section, field: field, key: key, kind: k}
 }
 
-// binaryBaseline is the "binary" section of BENCH_serve.json: the DARTWIRE1
-// wire-protocol benchmarks and the binary replay throughput recorded next to
-// the JSON replay baseline. The replay_* fields are written by `dart-serve
-// -replay -proto binary -json`; the codec/access fields by -write-binary.
-type binaryBaseline struct {
-	ReplayThroughput float64 `json:"replay_throughput"`
-	ReplayBatch      int     `json:"replay_batch"`
-	CodecNs          float64 `json:"codec_ns"`
-	CodecAllocs      float64 `json:"codec_allocs"`
-	WireAccessNs     float64 `json:"wire_access_ns"`
-	WireAccessAllocs float64 `json:"wire_access_allocs"`
+func sameRun(section, name, num, den, cmp string, bar float64) gate {
+	return gate{doc: serveDoc, section: section, kind: ratio, name: name, num: num, den: den, cmp: cmp, bar: bar}
 }
 
-// quantBaseline is the "quant" section of BENCH_serve.json: the quantized
-// dart-table benchmarks. The storage field is recorded for visibility; the
-// shrink gate itself is same-run (quant vs float storage_bytes metrics), so
-// it cannot drift with the baseline file.
-type quantBaseline struct {
-	DartInferQuantNs     float64 `json:"dart_infer_quant_ns"`
-	DartInferQuantAllocs float64 `json:"dart_infer_quant_allocs"`
-	DartQuantStorage     float64 `json:"dart_quant_storage_bytes"`
-	QuantRowNs           float64 `json:"quant_row_ns"`
-	QuantRowAllocs       float64 `json:"quant_row_allocs"`
+// check is one evaluated row.
+type check struct {
+	name            string
+	measured, limit float64
+	ok              bool
+	ratio           bool
 }
 
-// routerBaseline is the "router" section of BENCH_serve.json: the sharding
-// tier's benchmarks. The replay_* fields are written by `dart-router -replay
-// -json`; the ns fields by -write-router.
-type routerBaseline struct {
-	RouterAccessNs   float64 `json:"router_access_ns"`
-	DirectAccessNs   float64 `json:"direct_access_ns"`
-	ReplayThroughput float64 `json:"replay_throughput"`
+// eval checks one row. When a baseline value or measurement is absent it
+// returns what is absent instead of a check.
+func (g gate) eval(base [2]any, got map[string]float64) (check, []string) {
+	if g.kind == ratio {
+		return g.evalRatio(base, got)
+	}
+	var missing []string
+	ref := g.section + "." + g.field
+	b, ok := value(base[g.doc], ref)
+	if !ok || (g.kind == tol && b <= 0) {
+		missing = append(missing, ref)
+	}
+	m, ok := got[g.key]
+	if !ok {
+		missing = append(missing, g.key)
+	}
+	if missing != nil {
+		return check{}, missing
+	}
+	limit := b
+	if g.kind == tol {
+		limit *= tolerance
+	}
+	return check{name: g.key, measured: m, limit: limit, ok: m <= limit}, nil
+}
+
+func (g gate) evalRatio(base [2]any, got map[string]float64) (check, []string) {
+	name, num, den := g.name, g.num, g.den
+	if g.sizes != nil {
+		n := g.sizes[len(g.sizes)-1]
+		for _, s := range g.sizes {
+			_, ok1 := got[fmt.Sprintf(g.num, s)]
+			_, ok2 := got[fmt.Sprintf(g.den, s)]
+			if ok1 && ok2 {
+				n = s
+			}
+		}
+		name, num, den = fmt.Sprintf(g.name, n), fmt.Sprintf(g.num, n), fmt.Sprintf(g.den, n)
+	}
+	operand := func(k string) (float64, bool) {
+		if g.recorded {
+			return value(base[g.doc], k)
+		}
+		v, ok := got[k]
+		return v, ok
+	}
+	var missing []string
+	nv, ok := operand(num)
+	if !ok || nv <= 0 {
+		missing = append(missing, num)
+	}
+	dv, ok := operand(den)
+	if !ok || dv <= 0 {
+		missing = append(missing, den)
+	}
+	if missing != nil {
+		return check{}, missing
+	}
+	r := nv / dv
+	pass := r <= g.bar
+	switch g.cmp {
+	case ">":
+		pass = r > g.bar
+	case ">=":
+		pass = r >= g.bar
+	}
+	return check{name: name, measured: r, limit: g.bar, ok: pass, ratio: true}, nil
+}
+
+// lookup walks a decoded JSON document along a dotted path. A segment such
+// as "n=512" picks the array element whose "n" field is 512.
+func lookup(node any, path string) any {
+	for _, seg := range strings.Split(path, ".") {
+		switch v := node.(type) {
+		case map[string]any:
+			node = v[seg]
+		case []any:
+			k, want, _ := strings.Cut(seg, "=")
+			node = nil
+			for _, el := range v {
+				if m, ok := el.(map[string]any); ok && fmt.Sprint(m[k]) == want {
+					node = m
+					break
+				}
+			}
+		default:
+			return nil
+		}
+	}
+	return node
+}
+
+// value is the number at path, if there is one.
+func value(node any, path string) (float64, bool) {
+	v, ok := lookup(node, path).(float64)
+	return v, ok
 }
 
 // benchLine matches e.g. "BenchmarkMatMul/par/n512/w4-8   100  11093275 ns/op".
@@ -216,580 +320,21 @@ func parseBench(r io.Reader) (map[string]float64, error) {
 	return out, sc.Err()
 }
 
-// check is one comparison outcome.
-type check struct {
-	name     string
-	measured float64
-	limit    float64
-	ok       bool
+func readDoc(path string) (any, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var d any
+	if err := json.Unmarshal(raw, &d); err != nil {
+		return nil, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	return d, nil
 }
 
-// absoluteChecks compares measured numbers against baseline * tolerance.
-// Baseline entries with no measurement are reported via missing.
-func absoluteChecks(base baseline, got map[string]float64, tolerance float64) (checks []check, missing []string) {
-	add := func(name string, baseNs float64) {
-		ns, ok := got[name]
-		if !ok {
-			missing = append(missing, name)
-			return
-		}
-		limit := baseNs * tolerance
-		checks = append(checks, check{name: name, measured: ns, limit: limit, ok: ns <= limit})
-	}
-	for _, row := range base.MatMul {
-		add(fmt.Sprintf("BenchmarkMatMul/serial/n%d", row.N), row.SerialNs)
-		for _, w := range []string{"w1", "w2", "w4"} {
-			if bn, ok := row.ParNs[w]; ok {
-				add(fmt.Sprintf("BenchmarkMatMul/par/n%d/%s", row.N, w), bn)
-			}
-		}
-	}
-	if base.Tabular.NsPerOp > 0 {
-		add("BenchmarkHierarchyQueryBatch", base.Tabular.NsPerOp)
-	}
-	return checks, missing
-}
-
-// speedupCheck verifies, within the same run, that the parallel engine beats
-// the serial kernel at the largest size both were measured at.
-func speedupCheck(got map[string]float64, minSpeedup float64) (check, bool) {
-	best := -1
-	for _, n := range []int{1024, 512, 256, 128, 64} {
-		serial := fmt.Sprintf("BenchmarkMatMul/serial/n%d", n)
-		par := fmt.Sprintf("BenchmarkMatMul/par/n%d/w4", n)
-		if _, ok1 := got[serial]; ok1 {
-			if _, ok2 := got[par]; ok2 {
-				best = n
-				break
-			}
-		}
-	}
-	if best < 0 {
-		return check{}, false
-	}
-	serial := got[fmt.Sprintf("BenchmarkMatMul/serial/n%d", best)]
-	par := got[fmt.Sprintf("BenchmarkMatMul/par/n%d/w4", best)]
-	speedup := serial / par
-	return check{
-		name:     fmt.Sprintf("speedup(par w4 vs serial, n=%d)", best),
-		measured: speedup,
-		limit:    minSpeedup,
-		ok:       speedup >= minSpeedup,
-	}, true
-}
-
-// serveChecks compares the online-training benchmarks against the "online"
-// section of the serve baseline file.
-func serveChecks(servePath string, got map[string]float64, tolerance float64, out io.Writer) (checks []check, missing []string, ok bool) {
-	raw, err := os.ReadFile(servePath)
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return nil, nil, false
-	}
-	var doc struct {
-		Online *onlineBaseline `json:"online"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		fmt.Fprintf(out, "benchcheck: parsing %s: %v\n", servePath, err)
-		return nil, nil, false
-	}
-	if doc.Online == nil {
-		fmt.Fprintf(out, "benchcheck: %s has no \"online\" section (run `make bench-update`)\n", servePath)
-		return nil, nil, false
-	}
-	for name, field := range onlineBenchNames {
-		baseNs := field(*doc.Online)
-		if baseNs <= 0 {
-			missing = append(missing, name)
-			continue
-		}
-		ns, measured := got[name]
-		if !measured {
-			missing = append(missing, name)
-			continue
-		}
-		limit := baseNs * tolerance
-		checks = append(checks, check{name: name, measured: ns, limit: limit, ok: ns <= limit})
-	}
-	// The policy decision allocs baseline is exact (no tolerance): 0 is the
-	// recorded value and the point of the check, like the wire hot path.
-	if allocs, measured := got["BenchmarkPolicyDecision@allocs"]; measured {
-		checks = append(checks, check{
-			name:     "BenchmarkPolicyDecision@allocs",
-			measured: allocs,
-			limit:    doc.Online.PolicyDecisionAllocs,
-			ok:       allocs <= doc.Online.PolicyDecisionAllocs,
-		})
-	} else {
-		missing = append(missing, "BenchmarkPolicyDecision@allocs")
-	}
-	sc, sMissing := studentChecks(got)
-	checks = append(checks, sc...)
-	missing = append(missing, sMissing...)
-	return checks, missing, true
-}
-
-// studentChecks are the host-independent same-run comparisons down the
-// serving hierarchy: the distilled student must be strictly faster than the
-// teacher and its reported parameter storage strictly smaller, and the
-// tabularized (dart) tables must be strictly faster than the student — the
-// paper's whole point, and each tier's reason to exist. Both sides of every
-// ratio ran seconds apart on the same host, so no tolerance applies.
-func studentChecks(got map[string]float64) (checks []check, missing []string) {
-	type rel struct {
-		name, num, den string
-	}
-	for _, r := range []rel{
-		{"speedup(student vs teacher infer, same run)", "BenchmarkTeacherInfer", "BenchmarkStudentInfer"},
-		{"shrink(student vs teacher storage_bytes)", "BenchmarkTeacherInfer@storage_bytes", "BenchmarkStudentInfer@storage_bytes"},
-		{"speedup(dart vs student infer, same run)", "BenchmarkStudentInfer", "BenchmarkDartInfer"},
-	} {
-		num, ok1 := got[r.num]
-		den, ok2 := got[r.den]
-		if !ok1 {
-			missing = append(missing, r.num)
-		}
-		if !ok2 {
-			missing = append(missing, r.den)
-		}
-		if !ok1 || !ok2 {
-			continue
-		}
-		ratio := num / den
-		checks = append(checks, check{name: r.name, measured: ratio, limit: 1, ok: ratio > 1})
-	}
-	return checks, missing
-}
-
-// binaryChecks gates the DARTWIRE1 benchmarks against the "binary" section
-// of the serve baseline file: ns/op within tolerance like any other
-// benchmark, allocs/op at most the recorded baseline with no tolerance
-// (allocation counts are deterministic, and the recorded baseline is zero —
-// the zero-alloc hot-path guarantee), plus the static recorded-throughput
-// ratio: binary replay must beat JSON replay by minWireSpeedup. Both replay
-// numbers come from the baseline file itself — `make bench-update` records
-// them on the same host minutes apart — so no fresh measurement is needed.
-func binaryChecks(servePath string, got map[string]float64, tolerance, minWireSpeedup float64, out io.Writer) (checks []check, missing []string, ok bool) {
-	raw, err := os.ReadFile(servePath)
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return nil, nil, false
-	}
-	var doc struct {
-		Binary *binaryBaseline `json:"binary"`
-		Report struct {
-			Throughput float64 `json:"Throughput"`
-		} `json:"report"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		fmt.Fprintf(out, "benchcheck: parsing %s: %v\n", servePath, err)
-		return nil, nil, false
-	}
-	if doc.Binary == nil {
-		fmt.Fprintf(out, "benchcheck: %s has no \"binary\" section (run `make bench-update`)\n", servePath)
-		return nil, nil, false
-	}
-	bin := *doc.Binary
-	addNs := func(name string, baseNs float64) {
-		if baseNs <= 0 {
-			missing = append(missing, name)
-			return
-		}
-		ns, measured := got[name]
-		if !measured {
-			missing = append(missing, name)
-			return
-		}
-		limit := baseNs * tolerance
-		checks = append(checks, check{name: name, measured: ns, limit: limit, ok: ns <= limit})
-	}
-	// Alloc baselines are exact: a baseline of 0 is the whole point, so 0 is
-	// a valid (and the expected) recorded value, unlike the ns fields.
-	addAllocs := func(name string, baseAllocs float64) {
-		allocs, measured := got[name]
-		if !measured {
-			missing = append(missing, name)
-			return
-		}
-		checks = append(checks, check{name: name, measured: allocs, limit: baseAllocs, ok: allocs <= baseAllocs})
-	}
-	addNs("BenchmarkWireCodec", bin.CodecNs)
-	addAllocs("BenchmarkWireCodec@allocs", bin.CodecAllocs)
-	addNs("BenchmarkWireAccessBinary", bin.WireAccessNs)
-	addAllocs("BenchmarkWireAccessBinary@allocs", bin.WireAccessAllocs)
-	if bin.ReplayThroughput <= 0 || doc.Report.Throughput <= 0 {
-		fmt.Fprintf(out, "benchcheck: %s lacks recorded replay throughputs for the wire-speedup check (run `make bench-update`)\n", servePath)
-		return nil, nil, false
-	}
-	ratio := bin.ReplayThroughput / doc.Report.Throughput
-	checks = append(checks, check{
-		name:     "speedup(binary vs json replay, recorded)",
-		measured: ratio,
-		limit:    minWireSpeedup,
-		ok:       ratio >= minWireSpeedup,
-	})
-	return checks, missing, true
-}
-
-// quantChecks gates the quantized dart tables against the "quant" section of
-// the serve baseline file: ns/op within tolerance, allocs/op at most the
-// recorded baseline with no tolerance (the QuantRowAccum baseline is zero —
-// the SIMD row kernel's zero-alloc guarantee), plus the two host-independent
-// same-run ratios against the float dart row: quantized inference must be
-// strictly faster, and its storage_bytes metric at least minShrink times
-// smaller. Both sides of each ratio ran seconds apart on the same host, so
-// no tolerance applies.
-func quantChecks(servePath string, got map[string]float64, tolerance, minShrink float64, out io.Writer) (checks []check, missing []string, ok bool) {
-	raw, err := os.ReadFile(servePath)
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return nil, nil, false
-	}
-	var doc struct {
-		Quant *quantBaseline `json:"quant"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		fmt.Fprintf(out, "benchcheck: parsing %s: %v\n", servePath, err)
-		return nil, nil, false
-	}
-	if doc.Quant == nil {
-		fmt.Fprintf(out, "benchcheck: %s has no \"quant\" section (run `make bench-update`)\n", servePath)
-		return nil, nil, false
-	}
-	q := *doc.Quant
-	addNs := func(name string, baseNs float64) {
-		if baseNs <= 0 {
-			missing = append(missing, name)
-			return
-		}
-		ns, measured := got[name]
-		if !measured {
-			missing = append(missing, name)
-			return
-		}
-		limit := baseNs * tolerance
-		checks = append(checks, check{name: name, measured: ns, limit: limit, ok: ns <= limit})
-	}
-	addAllocs := func(name string, baseAllocs float64) {
-		allocs, measured := got[name]
-		if !measured {
-			missing = append(missing, name)
-			return
-		}
-		checks = append(checks, check{name: name, measured: allocs, limit: baseAllocs, ok: allocs <= baseAllocs})
-	}
-	addNs("BenchmarkDartInferQuant", q.DartInferQuantNs)
-	addAllocs("BenchmarkDartInferQuant@allocs", q.DartInferQuantAllocs)
-	addNs("BenchmarkQuantRowAccum", q.QuantRowNs)
-	addAllocs("BenchmarkQuantRowAccum@allocs", q.QuantRowAllocs)
-	type rel struct {
-		name, num, den string
-		limit          float64
-		strict         bool // ratio must exceed (not just meet) the limit
-	}
-	for _, r := range []rel{
-		{"speedup(quant vs float dart infer, same run)", "BenchmarkDartInfer", "BenchmarkDartInferQuant", 1, true},
-		{"shrink(quant vs float dart storage_bytes)", "BenchmarkDartInfer@storage_bytes", "BenchmarkDartInferQuant@storage_bytes", minShrink, false},
-	} {
-		num, ok1 := got[r.num]
-		den, ok2 := got[r.den]
-		if !ok1 {
-			missing = append(missing, r.num)
-		}
-		if !ok2 {
-			missing = append(missing, r.den)
-		}
-		if !ok1 || !ok2 {
-			continue
-		}
-		ratio := num / den
-		pass := ratio >= r.limit
-		if r.strict {
-			pass = ratio > r.limit
-		}
-		checks = append(checks, check{name: r.name, measured: ratio, limit: r.limit, ok: pass})
-	}
-	return checks, missing, true
-}
-
-// routerChecks gates the sharding tier against the "router" section of the
-// serve baseline file: the routed and direct access benchmarks for ns/op
-// regressions like any other benchmark, plus the host-independent same-run
-// overhead ratio — routed ns/op over direct ns/op, both measured on the same
-// host through the same loopback wire, must stay under maxOverhead. That
-// ratio is the router's cost contract: decode, journal append, re-encode and
-// one extra hop, a constant factor over a direct backend call.
-func routerChecks(servePath string, got map[string]float64, tolerance, maxOverhead float64, out io.Writer) (checks []check, missing []string, ok bool) {
-	raw, err := os.ReadFile(servePath)
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return nil, nil, false
-	}
-	var doc struct {
-		Router *routerBaseline `json:"router"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		fmt.Fprintf(out, "benchcheck: parsing %s: %v\n", servePath, err)
-		return nil, nil, false
-	}
-	if doc.Router == nil {
-		fmt.Fprintf(out, "benchcheck: %s has no \"router\" section (run `make bench-update`)\n", servePath)
-		return nil, nil, false
-	}
-	addNs := func(name string, baseNs float64) {
-		if baseNs <= 0 {
-			missing = append(missing, name)
-			return
-		}
-		ns, measured := got[name]
-		if !measured {
-			missing = append(missing, name)
-			return
-		}
-		limit := baseNs * tolerance
-		checks = append(checks, check{name: name, measured: ns, limit: limit, ok: ns <= limit})
-	}
-	addNs("BenchmarkRouterAccess", doc.Router.RouterAccessNs)
-	addNs("BenchmarkDirectAccess", doc.Router.DirectAccessNs)
-	routed, ok1 := got["BenchmarkRouterAccess"]
-	direct, ok2 := got["BenchmarkDirectAccess"]
-	if ok1 && ok2 {
-		ratio := routed / direct
-		checks = append(checks, check{
-			name:     "overhead(routed vs direct access, same run)",
-			measured: ratio,
-			limit:    maxOverhead,
-			ok:       ratio <= maxOverhead,
-		})
-	}
-	return checks, missing, true
-}
-
-// writeRouter rewrites the ns fields of the "router" section of the serve
-// baseline file from the measured benchmarks, preserving the replay_* fields
-// (owned by `dart-router -replay -json`) and every other key in the file.
-func writeRouter(servePath string, got map[string]float64, out io.Writer) int {
-	for _, name := range []string{"BenchmarkRouterAccess", "BenchmarkDirectAccess"} {
-		if _, ok := got[name]; !ok {
-			fmt.Fprintf(out, "benchcheck: input has no %s result; not updating %s\n", name, servePath)
-			return 2
-		}
-	}
-	raw, err := os.ReadFile(servePath)
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		fmt.Fprintf(out, "benchcheck: parsing %s: %v\n", servePath, err)
-		return 2
-	}
-	sec := make(map[string]json.RawMessage)
-	if prev, ok := doc["router"]; ok {
-		if err := json.Unmarshal(prev, &sec); err != nil {
-			fmt.Fprintf(out, "benchcheck: parsing %s \"router\" section: %v\n", servePath, err)
-			return 2
-		}
-	}
-	set := func(key string, v float64) {
-		b, _ := json.Marshal(v)
-		sec[key] = b
-	}
-	set("router_access_ns", got["BenchmarkRouterAccess"])
-	set("direct_access_ns", got["BenchmarkDirectAccess"])
-	updatedSec, err := json.Marshal(sec)
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	doc["router"] = updatedSec
-	updated, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	if err := os.WriteFile(servePath, append(updated, '\n'), 0o644); err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(out, "benchcheck: %s router section updated (routed %.0f ns, direct %.0f ns, overhead %.2fx)\n",
-		servePath, got["BenchmarkRouterAccess"], got["BenchmarkDirectAccess"],
-		got["BenchmarkRouterAccess"]/got["BenchmarkDirectAccess"])
-	return 0
-}
-
-// writeBinary rewrites the codec/access fields of the "binary" section of
-// the serve baseline file from the measured benchmarks, preserving the
-// replay_* fields (owned by `dart-serve -replay -proto binary -json`) and
-// every other key in the file.
-func writeBinary(servePath string, got map[string]float64, out io.Writer) int {
-	for _, name := range []string{
-		"BenchmarkWireCodec", "BenchmarkWireCodec@allocs",
-		"BenchmarkWireAccessBinary", "BenchmarkWireAccessBinary@allocs",
-	} {
-		if _, ok := got[name]; !ok {
-			fmt.Fprintf(out, "benchcheck: input has no %s result (need -benchmem); not updating %s\n", name, servePath)
-			return 2
-		}
-	}
-	raw, err := os.ReadFile(servePath)
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		fmt.Fprintf(out, "benchcheck: parsing %s: %v\n", servePath, err)
-		return 2
-	}
-	bin := make(map[string]json.RawMessage)
-	if sec, ok := doc["binary"]; ok {
-		if err := json.Unmarshal(sec, &bin); err != nil {
-			fmt.Fprintf(out, "benchcheck: parsing %s \"binary\" section: %v\n", servePath, err)
-			return 2
-		}
-	}
-	set := func(key string, v float64) {
-		b, _ := json.Marshal(v)
-		bin[key] = b
-	}
-	set("codec_ns", got["BenchmarkWireCodec"])
-	set("codec_allocs", got["BenchmarkWireCodec@allocs"])
-	set("wire_access_ns", got["BenchmarkWireAccessBinary"])
-	set("wire_access_allocs", got["BenchmarkWireAccessBinary@allocs"])
-	sec, err := json.Marshal(bin)
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	doc["binary"] = sec
-	updated, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	if err := os.WriteFile(servePath, append(updated, '\n'), 0o644); err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(out, "benchcheck: %s binary section updated (codec %.0f ns / %.0f allocs, access %.0f ns / %.0f allocs)\n",
-		servePath, got["BenchmarkWireCodec"], got["BenchmarkWireCodec@allocs"],
-		got["BenchmarkWireAccessBinary"], got["BenchmarkWireAccessBinary@allocs"])
-	return 0
-}
-
-// writeQuant rewrites the "quant" section of the serve baseline file from the
-// measured benchmarks, preserving every other key in the file.
-func writeQuant(servePath string, got map[string]float64, out io.Writer) int {
-	for _, name := range []string{
-		"BenchmarkDartInferQuant", "BenchmarkDartInferQuant@allocs",
-		"BenchmarkDartInferQuant@storage_bytes",
-		"BenchmarkQuantRowAccum", "BenchmarkQuantRowAccum@allocs",
-	} {
-		if _, ok := got[name]; !ok {
-			fmt.Fprintf(out, "benchcheck: input has no %s result (need -benchmem); not updating %s\n", name, servePath)
-			return 2
-		}
-	}
-	raw, err := os.ReadFile(servePath)
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		fmt.Fprintf(out, "benchcheck: parsing %s: %v\n", servePath, err)
-		return 2
-	}
-	sec, err := json.Marshal(quantBaseline{
-		DartInferQuantNs:     got["BenchmarkDartInferQuant"],
-		DartInferQuantAllocs: got["BenchmarkDartInferQuant@allocs"],
-		DartQuantStorage:     got["BenchmarkDartInferQuant@storage_bytes"],
-		QuantRowNs:           got["BenchmarkQuantRowAccum"],
-		QuantRowAllocs:       got["BenchmarkQuantRowAccum@allocs"],
-	})
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	doc["quant"] = sec
-	updated, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	if err := os.WriteFile(servePath, append(updated, '\n'), 0o644); err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(out, "benchcheck: %s quant section updated (infer %.0f ns / %.0f storage_bytes, row %.1f ns / %.0f allocs)\n",
-		servePath, got["BenchmarkDartInferQuant"], got["BenchmarkDartInferQuant@storage_bytes"],
-		got["BenchmarkQuantRowAccum"], got["BenchmarkQuantRowAccum@allocs"])
-	return 0
-}
-
-// writeOnline rewrites the "online" section of the serve baseline file from
-// the measured benchmarks, leaving every other key untouched.
-func writeOnline(servePath string, got map[string]float64, out io.Writer) int {
-	need := make([]string, 0, len(onlineBenchNames)+2)
-	for name := range onlineBenchNames {
-		need = append(need, name)
-	}
-	need = append(need, "BenchmarkTeacherInfer@storage_bytes", "BenchmarkStudentInfer@storage_bytes",
-		"BenchmarkDartInfer@storage_bytes", "BenchmarkPolicyDecision@allocs")
-	for _, name := range need {
-		if _, ok := got[name]; !ok {
-			fmt.Fprintf(out, "benchcheck: input has no %s result; not updating %s\n", name, servePath)
-			return 2
-		}
-	}
-	raw, err := os.ReadFile(servePath)
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		fmt.Fprintf(out, "benchcheck: parsing %s: %v\n", servePath, err)
-		return 2
-	}
-	sec, err := json.Marshal(onlineBaseline{
-		FeedbackIngestNs:    got["BenchmarkFeedbackIngest"],
-		SwapNs:              got["BenchmarkModelSwap"],
-		TeacherInferNs:      got["BenchmarkTeacherInfer"],
-		StudentInferNs:      got["BenchmarkStudentInfer"],
-		DistillCycleNs:      got["BenchmarkDistillCycle"],
-		DartInferNs:         got["BenchmarkDartInfer"],
-		TabularSwapNs:       got["BenchmarkTabularSwap"],
-		TeacherStorageBytes: got["BenchmarkTeacherInfer@storage_bytes"],
-		StudentStorageBytes: got["BenchmarkStudentInfer@storage_bytes"],
-		DartStorageBytes:    got["BenchmarkDartInfer@storage_bytes"],
-
-		PolicyDecisionNs:     got["BenchmarkPolicyDecision"],
-		PolicyDecisionAllocs: got["BenchmarkPolicyDecision@allocs"],
-	})
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	doc["online"] = sec
-	updated, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	if err := os.WriteFile(servePath, append(updated, '\n'), 0o644); err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(out, "benchcheck: %s online section updated (ingest %.1f ns, swap %.0f ns)\n",
-		servePath, got["BenchmarkFeedbackIngest"], got["BenchmarkModelSwap"])
-	return 0
-}
-
-// run executes the gate and returns the process exit code.
-func run(baselinePath, servePath, updateOnline, updateBinary, updateRouter, updateQuant string, tolerance, minSpeedup, minWireSpeedup, maxRouterOverhead, minQuantShrink float64, in io.Reader, out io.Writer) int {
+// run executes the gate, or with writePath set the baseline update, and
+// returns the process exit code.
+func run(parPath, servePath, writePath string, in io.Reader, out io.Writer) int {
 	got, err := parseBench(in)
 	if err != nil {
 		fmt.Fprintf(out, "benchcheck: %v\n", err)
@@ -799,88 +344,56 @@ func run(baselinePath, servePath, updateOnline, updateBinary, updateRouter, upda
 		fmt.Fprintln(out, "benchcheck: no benchmark results in input")
 		return 2
 	}
-	if updateOnline != "" {
-		return writeOnline(updateOnline, got, out)
+	if writePath != "" {
+		if err := write(writePath, got, out); err != nil {
+			fmt.Fprintf(out, "benchcheck: %v; not updating %s\n", err, writePath)
+			return 2
+		}
+		return 0
 	}
-	if updateBinary != "" {
-		return writeBinary(updateBinary, got, out)
-	}
-	if updateRouter != "" {
-		return writeRouter(updateRouter, got, out)
-	}
-	if updateQuant != "" {
-		return writeQuant(updateQuant, got, out)
-	}
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
+	var base [2]any
+	if base[parDoc], err = readDoc(parPath); err != nil {
 		fmt.Fprintf(out, "benchcheck: %v\n", err)
 		return 2
 	}
-	var base baseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		fmt.Fprintf(out, "benchcheck: parsing %s: %v\n", baselinePath, err)
-		return 2
+	if servePath != "" {
+		if base[serveDoc], err = readDoc(servePath); err != nil {
+			fmt.Fprintf(out, "benchcheck: %v\n", err)
+			return 2
+		}
 	}
 
-	checks, missing := absoluteChecks(base, got, tolerance)
-	if sc, ok := speedupCheck(got, minSpeedup); ok {
-		checks = append(checks, sc)
+	var checks []check
+	var warns []string
+	missing := map[string][]string{} // fail-closed section -> absent inputs
+	for _, g := range gates {
+		if g.kind == record || base[g.doc] == nil {
+			continue
+		}
+		c, absent := g.eval(base, got)
+		switch {
+		case absent == nil:
+			checks = append(checks, c)
+		case g.doc == parDoc:
+			warns = append(warns, absent...)
+		default:
+			for _, a := range absent {
+				if !slices.Contains(missing[g.section], a) {
+					missing[g.section] = append(missing[g.section], a)
+				}
+			}
+		}
 	}
-	if servePath != "" {
-		sChecks, sMissing, ok := serveChecks(servePath, got, tolerance, out)
-		if !ok {
-			return 2
+	if len(missing) > 0 {
+		for _, sec := range slices.Sorted(maps.Keys(missing)) {
+			fmt.Fprintf(out, "benchcheck: %q benchmarks missing from input or baseline: %v\n", sec, missing[sec])
 		}
-		if len(sMissing) > 0 {
-			// Fail closed: unlike the matmul grid (which CI may shrink),
-			// the online gate names exactly the benchmarks bench-ci runs —
-			// one going missing means the gate silently stopped gating.
-			fmt.Fprintf(out, "benchcheck: online benchmarks missing from input or baseline: %v\n", sMissing)
-			return 2
-		}
-		checks = append(checks, sChecks...)
-		qChecks, qMissing, ok := quantChecks(servePath, got, tolerance, minQuantShrink, out)
-		if !ok {
-			return 2
-		}
-		if len(qMissing) > 0 {
-			// Same fail-closed rule: the quant gate carries the int8 acceptance
-			// bars (quant beats float, >=4x shrink, zero-alloc row kernel), and
-			// a benchmark dropped from bench-ci would silently stop enforcing
-			// them.
-			fmt.Fprintf(out, "benchcheck: quant benchmarks missing from input or baseline: %v\n", qMissing)
-			return 2
-		}
-		checks = append(checks, qChecks...)
-		bChecks, bMissing, ok := binaryChecks(servePath, got, tolerance, minWireSpeedup, out)
-		if !ok {
-			return 2
-		}
-		if len(bMissing) > 0 {
-			// Same fail-closed rule: the wire gate exists to catch a single
-			// new allocation on the binary hot path, and a missing benchmark
-			// (e.g. -benchmem dropped from bench-ci) would disable it.
-			fmt.Fprintf(out, "benchcheck: wire benchmarks missing from input or baseline: %v\n", bMissing)
-			return 2
-		}
-		checks = append(checks, bChecks...)
-		rChecks, rMissing, ok := routerChecks(servePath, got, tolerance, maxRouterOverhead, out)
-		if !ok {
-			return 2
-		}
-		if len(rMissing) > 0 {
-			// Same fail-closed rule: the overhead gate is the sharding tier's
-			// cost contract, and a benchmark dropped from bench-ci would
-			// silently stop enforcing it.
-			fmt.Fprintf(out, "benchcheck: router benchmarks missing from input or baseline: %v\n", rMissing)
-			return 2
-		}
-		checks = append(checks, rChecks...)
+		return 2
 	}
 	if len(checks) == 0 {
-		// Fail closed: benchmark names drifting away from the baseline
-		// schema must not silently disable the gate.
-		fmt.Fprintf(out, "benchcheck: no measured benchmark matched any baseline entry (missing: %v)\n", missing)
+		// Benchmark names drifting away from the baseline schema must not
+		// silently disable the gate.
+		fmt.Fprintf(out, "benchcheck: no measured benchmark matched any baseline entry (missing: %v)\n", warns)
 		return 2
 	}
 
@@ -891,31 +404,148 @@ func run(baselinePath, servePath, updateOnline, updateBinary, updateRouter, upda
 			status = "FAIL"
 			fail++
 		}
-		fmt.Fprintf(out, "%s %-42s measured %12.0f  limit %12.0f\n", status, c.name, c.measured, c.limit)
+		prec := 0
+		if c.ratio {
+			prec = 2
+		}
+		fmt.Fprintf(out, "%s %-44s measured %12.*f  limit %12.*f\n", status, c.name, prec, c.measured, prec, c.limit)
 	}
-	for _, name := range missing {
-		fmt.Fprintf(out, "warn %-42s baseline entry not measured\n", name)
+	for _, w := range warns {
+		fmt.Fprintf(out, "warn %-44s missing from input or baseline\n", w)
 	}
 	if fail > 0 {
-		fmt.Fprintf(out, "benchcheck: %d regression(s) beyond %.2fx tolerance\n", fail, tolerance)
+		fmt.Fprintf(out, "benchcheck: %d of %d checks failed (tolerance %.2fx)\n", fail, len(checks), tolerance)
 		return 1
 	}
 	fmt.Fprintf(out, "benchcheck: %d checks passed (tolerance %.2fx)\n", len(checks), tolerance)
 	return 0
 }
 
+// write rewrites, in the serve baseline file at path, every section whose
+// owned measurements (the keys of its non-ratio rows) are all in got. Keys
+// no row owns keep their values and order. A section only partly measured
+// is an error, and then nothing is written.
+func write(path string, got map[string]float64, out io.Writer) error {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &top); err != nil {
+		return fmt.Errorf("parsing %s: %w", path, err)
+	}
+	if top == nil {
+		return fmt.Errorf("%s is not a JSON object", path)
+	}
+	var sections []string
+	owned := map[string][]gate{}
+	for _, g := range gates {
+		if g.doc == serveDoc && g.kind != ratio {
+			if owned[g.section] == nil {
+				sections = append(sections, g.section)
+			}
+			owned[g.section] = append(owned[g.section], g)
+		}
+	}
+	var updated []string
+	for _, sec := range sections {
+		var lack []string
+		for _, g := range owned[sec] {
+			if _, ok := got[g.key]; !ok {
+				lack = append(lack, g.key)
+			}
+		}
+		if len(lack) == len(owned[sec]) {
+			continue
+		}
+		if len(lack) > 0 {
+			return fmt.Errorf("input has only part of the %q section, lacking %v (@allocs needs -benchmem)", sec, lack)
+		}
+		fields, err := parseObject(top[sec])
+		if err != nil {
+			return fmt.Errorf("parsing %s %q section: %w", path, sec, err)
+		}
+		for _, g := range owned[sec] {
+			fields = setField(fields, g.field, got[g.key])
+		}
+		top[sec] = marshalObject(fields)
+		updated = append(updated, sec)
+	}
+	if updated == nil {
+		return errors.New("input holds no BENCH_serve.json section")
+	}
+	b, err := json.MarshalIndent(top, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "benchcheck: %s sections %v updated\n", path, updated)
+	return nil
+}
+
+// field is one key of a JSON object. Sections are kept as ordered fields so
+// a rewrite leaves the baseline file's layout, and its diff, alone.
+type field struct {
+	key string
+	val json.RawMessage
+}
+
+func parseObject(raw json.RawMessage) ([]field, error) {
+	if raw == nil {
+		return nil, nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if t, err := dec.Token(); err != nil || t != json.Delim('{') {
+		return nil, errors.New("not a JSON object")
+	}
+	var fs []field
+	for dec.More() {
+		t, err := dec.Token()
+		if err != nil {
+			return nil, err
+		}
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			return nil, err
+		}
+		fs = append(fs, field{t.(string), v}) // object keys are strings
+	}
+	return fs, nil
+}
+
+func setField(fs []field, key string, v float64) []field {
+	b, _ := json.Marshal(v) // v is finite: parseBench reads it from digits
+	for i := range fs {
+		if fs[i].key == key {
+			fs[i].val = b
+			return fs
+		}
+	}
+	return append(fs, field{key, b})
+}
+
+func marshalObject(fs []field) json.RawMessage {
+	var b bytes.Buffer
+	b.WriteByte('{')
+	for i, f := range fs {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		k, _ := json.Marshal(f.key) // a string always marshals
+		b.Write(k)
+		b.WriteByte(':')
+		b.Write(f.val)
+	}
+	b.WriteByte('}')
+	return b.Bytes()
+}
+
 func main() {
-	baselinePath := flag.String("baseline", "BENCH_par.json", "baseline JSON file")
-	servePath := flag.String("serve-baseline", "", "also gate online benchmarks against this file's \"online\" section (e.g. BENCH_serve.json)")
-	updateOnline := flag.String("write-online", "", "update mode: rewrite this file's \"online\" section from the measured benchmarks")
-	updateBinary := flag.String("write-binary", "", "update mode: rewrite this file's \"binary\" codec/access fields from the measured benchmarks")
-	updateRouter := flag.String("write-router", "", "update mode: rewrite this file's \"router\" ns fields from the measured benchmarks")
-	updateQuant := flag.String("write-quant", "", "update mode: rewrite this file's \"quant\" section from the measured benchmarks")
-	tolerance := flag.Float64("tolerance", 1.5, "allowed slowdown vs baseline")
-	minSpeedup := flag.Float64("min-speedup", 2.0, "required same-run speedup of par w4 over serial")
-	minWireSpeedup := flag.Float64("min-wire-speedup", 5.0, "required recorded speedup of binary replay over json replay")
-	maxRouterOverhead := flag.Float64("max-router-overhead", 3.0, "allowed same-run overhead of routed access over direct access")
-	minQuantShrink := flag.Float64("min-quant-shrink", 4.0, "required same-run shrink of quantized over float dart storage_bytes")
+	parPath := flag.String("baseline", "BENCH_par.json", "matmul/tabular baseline file")
+	servePath := flag.String("serve-baseline", "", "also run the serving gates against this file (e.g. BENCH_serve.json)")
+	writePath := flag.String("write", "", "update mode: rewrite this file's serving sections from the measured benchmarks")
 	flag.Parse()
 
 	in := io.Reader(os.Stdin)
@@ -928,5 +558,5 @@ func main() {
 		defer f.Close()
 		in = f
 	}
-	os.Exit(run(*baselinePath, *servePath, *updateOnline, *updateBinary, *updateRouter, *updateQuant, *tolerance, *minSpeedup, *minWireSpeedup, *maxRouterOverhead, *minQuantShrink, in, os.Stdout))
+	os.Exit(run(*parPath, *servePath, *writePath, in, os.Stdout))
 }

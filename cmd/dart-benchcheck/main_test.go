@@ -1,8 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -67,7 +75,7 @@ func writeBaseline(t *testing.T) string {
 
 func TestGatePassesWithinTolerance(t *testing.T) {
 	var out strings.Builder
-	code := run(writeBaseline(t), "", "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleBench), &out)
+	code := run(writeBaseline(t), "", "", strings.NewReader(sampleBench), &out)
 	if code != 0 {
 		t.Fatalf("exit %d, output:\n%s", code, out.String())
 	}
@@ -82,7 +90,7 @@ func TestGateFailsOnRegression(t *testing.T) {
 		"BenchmarkMatMul/par/n512/w4-1    10  11200000 ns/op",
 		"BenchmarkMatMul/par/n512/w4-1    10  33000000 ns/op", 1)
 	var out strings.Builder
-	code := run(writeBaseline(t), "", "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(slow), &out)
+	code := run(writeBaseline(t), "", "", strings.NewReader(slow), &out)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
 	}
@@ -99,7 +107,7 @@ func TestGateFailsOnLostSpeedup(t *testing.T) {
 BenchmarkMatMul/par/n512/w4-1 2 9000000 ns/op
 `
 	var out strings.Builder
-	code := run(writeBaseline(t), "", "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(in), &out)
+	code := run(writeBaseline(t), "", "", strings.NewReader(in), &out)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
 	}
@@ -110,9 +118,9 @@ BenchmarkMatMul/par/n512/w4-1 2 9000000 ns/op
 
 func TestGateSpeedupUsesLargestCommonSize(t *testing.T) {
 	got, _ := parseBench(strings.NewReader(sampleBench))
-	c, ok := speedupCheck(got, 2.0)
-	if !ok {
-		t.Fatal("no speedup check possible")
+	c, missing := gateNamed(t, "speedup(par w4 vs serial, n=%d)").eval([2]any{}, got)
+	if missing != nil {
+		t.Fatalf("no speedup check possible: missing %v", missing)
 	}
 	if !strings.Contains(c.name, "n=512") {
 		t.Fatalf("picked %q, want n=512", c.name)
@@ -132,7 +140,7 @@ BenchmarkMatMul/par/n64/w4-1 40 24000 ns/op
 BenchmarkHierarchyQueryBatch-1 100 1700000 ns/op
 `
 	var out strings.Builder
-	code := run(writeBaseline(t), "", "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(small), &out)
+	code := run(writeBaseline(t), "", "", strings.NewReader(small), &out)
 	if code != 0 {
 		t.Fatalf("exit %d, output:\n%s", code, out.String())
 	}
@@ -148,7 +156,7 @@ func TestGateFailsClosedWhenNothingMatches(t *testing.T) {
 BenchmarkSomethingElse-1 5 12345 ns/op
 `
 	var out strings.Builder
-	if code := run(writeBaseline(t), "", "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(renamed), &out); code != 2 {
+	if code := run(writeBaseline(t), "", "", strings.NewReader(renamed), &out); code != 2 {
 		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
 	}
 	if !strings.Contains(out.String(), "no measured benchmark matched") {
@@ -158,27 +166,54 @@ BenchmarkSomethingElse-1 5 12345 ns/op
 
 func TestGateErrorsOnEmptyInput(t *testing.T) {
 	var out strings.Builder
-	if code := run(writeBaseline(t), "", "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader("no benchmarks here"), &out); code != 2 {
+	if code := run(writeBaseline(t), "", "", strings.NewReader("no benchmarks here"), &out); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
 }
 
 func TestGateErrorsOnMissingBaseline(t *testing.T) {
 	var out strings.Builder
-	if code := run(filepath.Join(t.TempDir(), "nope.json"), "", "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleBench), &out); code != 2 {
+	if code := run(filepath.Join(t.TempDir(), "nope.json"), "", "", strings.NewReader(sampleBench), &out); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
 }
 
-// TestRealBaselineParses guards the actual BENCH_par.json in the repo root
-// against drifting away from the schema the gate reads.
+// TestRealBaselineParses guards the committed BENCH_par.json and
+// BENCH_serve.json against drifting away from the table: every row must find
+// its baseline fields, and every tolerance baseline and recorded ratio
+// operand must be positive, so a renamed field or an orphan row fails here
+// and not only in `make bench-ci`.
 func TestRealBaselineParses(t *testing.T) {
 	var out strings.Builder
-	code := run("../../BENCH_par.json", "", "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleBench), &out)
+	code := run("../../BENCH_par.json", "", "", strings.NewReader(sampleBench), &out)
 	// sampleBench numbers are far below the real baseline, so this passes
 	// unless the JSON fails to parse (exit 2).
 	if code == 2 {
 		t.Fatalf("BENCH_par.json no longer parses:\n%s", out.String())
+	}
+	var base [2]any
+	var err error
+	for d, path := range map[doc]string{parDoc: "../../BENCH_par.json", serveDoc: "../../BENCH_serve.json"} {
+		if base[d], err = readDoc(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, g := range gates {
+		var refs []string
+		switch {
+		case g.field != "":
+			refs = []string{g.section + "." + g.field}
+		case g.recorded:
+			refs = []string{g.num, g.den}
+		}
+		for _, ref := range refs {
+			v, ok := value(base[g.doc], ref)
+			if !ok {
+				t.Errorf("row %s: committed baseline has no %s", rowName(g), ref)
+			} else if (g.kind == tol || g.recorded) && v <= 0 {
+				t.Errorf("row %s: committed baseline %s = %v, want > 0", rowName(g), ref, v)
+			}
+		}
 	}
 }
 
@@ -237,8 +272,8 @@ func writeServeBaseline(t *testing.T, content string) string {
 
 func TestOnlineGatePassesWithinTolerance(t *testing.T) {
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "",
+		strings.NewReader(sampleOnlineBench), &out)
 	if code != 0 {
 		t.Fatalf("exit %d, output:\n%s", code, out.String())
 	}
@@ -253,8 +288,8 @@ func TestOnlineGateFailsOnRegression(t *testing.T) {
 		"BenchmarkFeedbackIngest-1  50000000  22.1 ns/op",
 		"BenchmarkFeedbackIngest-1  1000000  95.0 ns/op", 1)
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(slow), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "",
+		strings.NewReader(slow), &out)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
 	}
@@ -267,8 +302,8 @@ func TestOnlineGateFailsClosedOnMissingBenchmark(t *testing.T) {
 	// Input has the matmul grid but neither online benchmark: the serve
 	// gate must error rather than degrade to a warning.
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleBench), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "",
+		strings.NewReader(sampleBench), &out)
 	if code != 2 {
 		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
 	}
@@ -279,8 +314,8 @@ func TestOnlineGateFailsClosedOnMissingBenchmark(t *testing.T) {
 
 func TestOnlineGateFailsClosedWithoutSection(t *testing.T) {
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, `{"report": {}}`), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, `{"report": {}}`), "",
+		strings.NewReader(sampleOnlineBench), &out)
 	if code != 2 {
 		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
 	}
@@ -292,7 +327,7 @@ func TestOnlineGateFailsClosedWithoutSection(t *testing.T) {
 func TestWriteOnlinePreservesOtherKeys(t *testing.T) {
 	path := writeServeBaseline(t, sampleServeBaseline)
 	var out strings.Builder
-	code := run("", "", path, "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
+	code := run("", "", path, strings.NewReader(sampleOnlineBench), &out)
 	if code != 0 {
 		t.Fatalf("exit %d, output:\n%s", code, out.String())
 	}
@@ -310,7 +345,7 @@ func TestWriteOnlinePreservesOtherKeys(t *testing.T) {
 		}
 	}
 	// The refreshed file must pass its own gate.
-	code = run(writeBaseline(t), path, "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
+	code = run(writeBaseline(t), path, "", strings.NewReader(sampleOnlineBench), &out)
 	if code != 0 {
 		t.Fatalf("self-gate exit %d:\n%s", code, out.String())
 	}
@@ -336,8 +371,8 @@ func TestStudentGateFailsWhenNotFaster(t *testing.T) {
 		"BenchmarkStudentInfer-1  712  321442 ns/op  13952 storage_bytes",
 		"BenchmarkStudentInfer-1  712  560000 ns/op  13952 storage_bytes", 1)
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 2.0, 2.0, 5, 3, 4, strings.NewReader(slow), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "",
+		strings.NewReader(slow), &out)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
 	}
@@ -354,8 +389,8 @@ func TestDartGateFailsWhenNotFasterThanStudent(t *testing.T) {
 		"BenchmarkDartInfer-1  951  249812 ns/op  7982 storage_bytes",
 		"BenchmarkDartInfer-1  951  330000 ns/op  7982 storage_bytes", 1)
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 2.0, 2.0, 5, 3, 4, strings.NewReader(slow), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "",
+		strings.NewReader(slow), &out)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
 	}
@@ -369,8 +404,8 @@ func TestStudentGateFailsWhenNotSmaller(t *testing.T) {
 		"BenchmarkStudentInfer-1  712  321442 ns/op  13952 storage_bytes",
 		"BenchmarkStudentInfer-1  712  321442 ns/op  44032 storage_bytes", 1)
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(bloated), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "",
+		strings.NewReader(bloated), &out)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
 	}
@@ -385,8 +420,8 @@ func TestStudentGateFailsClosedOnMissingStudentBench(t *testing.T) {
 	noStudent := strings.Replace(sampleOnlineBench,
 		"BenchmarkStudentInfer-1  712  321442 ns/op  13952 storage_bytes\n", "", 1)
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(noStudent), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "",
+		strings.NewReader(noStudent), &out)
 	if code != 2 {
 		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
 	}
@@ -396,7 +431,7 @@ func TestWriteOnlineRefusesPartialInput(t *testing.T) {
 	path := writeServeBaseline(t, sampleServeBaseline)
 	var out strings.Builder
 	// Missing BenchmarkModelSwap: must refuse rather than zero the baseline.
-	code := run("", "", path, "", "", "", 1.5, 2.0, 5, 3, 4,
+	code := run("", "", path,
 		strings.NewReader("BenchmarkFeedbackIngest-1 100 20 ns/op\n"), &out)
 	if code != 2 {
 		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
@@ -411,8 +446,8 @@ func TestPolicyGateFailsOnSingleAlloc(t *testing.T) {
 		"BenchmarkPolicyDecision-1  50000000  21.7 ns/op  0 B/op  0 allocs/op",
 		"BenchmarkPolicyDecision-1  50000000  21.7 ns/op  48 B/op  1 allocs/op", 1)
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(leaky), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "",
+		strings.NewReader(leaky), &out)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
 	}
@@ -427,8 +462,8 @@ func TestPolicyGateFailsClosedOnMissingBench(t *testing.T) {
 	noPolicy := strings.Replace(sampleOnlineBench,
 		"BenchmarkPolicyDecision-1  50000000  21.7 ns/op  0 B/op  0 allocs/op\n", "", 1)
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(noPolicy), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "",
+		strings.NewReader(noPolicy), &out)
 	if code != 2 {
 		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
 	}
@@ -462,8 +497,8 @@ func TestParseBenchAllocsMetric(t *testing.T) {
 
 func TestBinaryGatePassesAtBaseline(t *testing.T) {
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "",
+		strings.NewReader(sampleOnlineBench), &out)
 	if code != 0 {
 		t.Fatalf("exit %d, output:\n%s", code, out.String())
 	}
@@ -483,8 +518,8 @@ func TestBinaryGateFailsOnNsRegression(t *testing.T) {
 		"BenchmarkWireCodec-1  550000  2156 ns/op  0 B/op  0 allocs/op",
 		"BenchmarkWireCodec-1  550000  9000 ns/op  0 B/op  0 allocs/op", 1)
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(slow), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "",
+		strings.NewReader(slow), &out)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
 	}
@@ -500,8 +535,8 @@ func TestBinaryGateFailsOnSingleAlloc(t *testing.T) {
 		"BenchmarkWireAccessBinary-1  2000000  529.2 ns/op  0 B/op  0 allocs/op",
 		"BenchmarkWireAccessBinary-1  2000000  529.2 ns/op  48 B/op  1 allocs/op", 1)
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(leaky), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "",
+		strings.NewReader(leaky), &out)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
 	}
@@ -516,12 +551,12 @@ func TestBinaryGateFailsClosedOnMissingWireBench(t *testing.T) {
 	noWire := strings.Replace(sampleOnlineBench,
 		"BenchmarkWireCodec-1  550000  2156 ns/op  0 B/op  0 allocs/op\n", "", 1)
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(noWire), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "",
+		strings.NewReader(noWire), &out)
 	if code != 2 {
 		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "wire benchmarks missing") {
+	if !strings.Contains(out.String(), `"binary" benchmarks missing`) {
 		t.Fatalf("output:\n%s", out.String())
 	}
 }
@@ -538,8 +573,8 @@ func TestBinaryGateFailsClosedWithoutSection(t *testing.T) {
 		t.Fatal("fixture replace failed")
 	}
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, noBinary), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, noBinary), "",
+		strings.NewReader(sampleOnlineBench), &out)
 	if code != 2 {
 		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
 	}
@@ -553,8 +588,8 @@ func TestWireSpeedupGateFailsBelowBar(t *testing.T) {
 	slow := strings.Replace(sampleServeBaseline,
 		`"replay_throughput": 3900000`, `"replay_throughput": 1920000`, 1)
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, slow), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, slow), "",
+		strings.NewReader(sampleOnlineBench), &out)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
 	}
@@ -569,12 +604,12 @@ func TestWireSpeedupFailsClosedWithoutRecordedThroughput(t *testing.T) {
 	noReplay := strings.Replace(sampleServeBaseline,
 		`"replay_throughput": 3900000, "replay_batch": 64,`, "", 1)
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, noReplay), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, noReplay), "",
+		strings.NewReader(sampleOnlineBench), &out)
 	if code != 2 {
 		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "replay throughputs") {
+	if !strings.Contains(out.String(), "binary.replay_throughput") {
 		t.Fatalf("output:\n%s", out.String())
 	}
 }
@@ -582,7 +617,7 @@ func TestWireSpeedupFailsClosedWithoutRecordedThroughput(t *testing.T) {
 func TestWriteBinaryPreservesReplayAndOtherKeys(t *testing.T) {
 	path := writeServeBaseline(t, sampleServeBaseline)
 	var out strings.Builder
-	code := run("", "", "", path, "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
+	code := run("", "", path, strings.NewReader(sampleOnlineBench), &out)
 	if code != 0 {
 		t.Fatalf("exit %d, output:\n%s", code, out.String())
 	}
@@ -594,14 +629,14 @@ func TestWriteBinaryPreservesReplayAndOtherKeys(t *testing.T) {
 	for _, want := range []string{
 		`"codec_ns": 2156`, `"wire_access_ns": 529.2`, `"codec_allocs": 0`,
 		`"replay_throughput": 3900000`, `"replay_batch": 64`,
-		`"feedback_ingest_ns": 20`, `"Throughput": 640000`,
+		`"feedback_ingest_ns": 22.1`, `"Throughput": 640000`,
 	} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("updated file missing %q:\n%s", want, s)
 		}
 	}
 	// The refreshed file must pass its own gate.
-	code = run(writeBaseline(t), path, "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
+	code = run(writeBaseline(t), path, "", strings.NewReader(sampleOnlineBench), &out)
 	if code != 0 {
 		t.Fatalf("self-gate exit %d:\n%s", code, out.String())
 	}
@@ -609,8 +644,8 @@ func TestWriteBinaryPreservesReplayAndOtherKeys(t *testing.T) {
 
 func TestRouterGatePassesAtBaseline(t *testing.T) {
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "",
+		strings.NewReader(sampleOnlineBench), &out)
 	if code != 0 {
 		t.Fatalf("exit %d, output:\n%s", code, out.String())
 	}
@@ -631,8 +666,8 @@ func TestRouterGateFailsOnOverhead(t *testing.T) {
 		"BenchmarkRouterAccess-1  200000  6012 ns/op  120 B/op  3 allocs/op",
 		"BenchmarkRouterAccess-1  200000  12100 ns/op  120 B/op  3 allocs/op", 1)
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 5.0, 2.0, 5, 3, 4, strings.NewReader(slow), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "",
+		strings.NewReader(slow), &out)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
 	}
@@ -647,12 +682,12 @@ func TestRouterGateFailsClosedOnMissingBench(t *testing.T) {
 	noRouter := strings.Replace(sampleOnlineBench,
 		"BenchmarkRouterAccess-1  200000  6012 ns/op  120 B/op  3 allocs/op\n", "", 1)
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(noRouter), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "",
+		strings.NewReader(noRouter), &out)
 	if code != 2 {
 		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "router benchmarks missing") {
+	if !strings.Contains(out.String(), `"router" benchmarks missing`) {
 		t.Fatalf("output:\n%s", out.String())
 	}
 }
@@ -667,8 +702,8 @@ func TestRouterGateFailsClosedWithoutSection(t *testing.T) {
 		t.Fatal("fixture replace failed")
 	}
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, noSection), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, noSection), "",
+		strings.NewReader(sampleOnlineBench), &out)
 	if code != 2 {
 		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
 	}
@@ -680,7 +715,7 @@ func TestRouterGateFailsClosedWithoutSection(t *testing.T) {
 func TestWriteRouterPreservesReplayAndOtherKeys(t *testing.T) {
 	path := writeServeBaseline(t, sampleServeBaseline)
 	var out strings.Builder
-	code := run("", "", "", "", path, "", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
+	code := run("", "", path, strings.NewReader(sampleOnlineBench), &out)
 	if code != 0 {
 		t.Fatalf("exit %d, output:\n%s", code, out.String())
 	}
@@ -691,14 +726,14 @@ func TestWriteRouterPreservesReplayAndOtherKeys(t *testing.T) {
 	s := string(updated)
 	for _, want := range []string{
 		`"router_access_ns": 6012`, `"direct_access_ns": 2987`,
-		`"replay_throughput": 300000`, `"codec_ns": 2100`, `"feedback_ingest_ns": 20`,
+		`"replay_throughput": 300000`, `"codec_ns": 2156`, `"feedback_ingest_ns": 22.1`,
 	} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("updated file missing %q:\n%s", want, s)
 		}
 	}
 	// The refreshed file must pass its own gate.
-	code = run(writeBaseline(t), path, "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
+	code = run(writeBaseline(t), path, "", strings.NewReader(sampleOnlineBench), &out)
 	if code != 0 {
 		t.Fatalf("self-gate exit %d:\n%s", code, out.String())
 	}
@@ -708,7 +743,7 @@ func TestWriteRouterRefusesPartialInput(t *testing.T) {
 	path := writeServeBaseline(t, sampleServeBaseline)
 	var out strings.Builder
 	// Missing BenchmarkDirectAccess: must refuse rather than gut the section.
-	code := run("", "", "", "", path, "", 1.5, 2.0, 5, 3, 4,
+	code := run("", "", path,
 		strings.NewReader("BenchmarkRouterAccess-1 100 6012 ns/op\n"), &out)
 	if code != 2 {
 		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
@@ -721,7 +756,7 @@ func TestWriteBinaryRefusesWithoutBenchmem(t *testing.T) {
 	// Wire benchmarks measured without -benchmem: no allocs columns, so the
 	// update must refuse rather than zero the alloc baselines.
 	in := "BenchmarkWireCodec-1 550000 2156 ns/op\nBenchmarkWireAccessBinary-1 2000000 529.2 ns/op\n"
-	code := run("", "", "", path, "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(in), &out)
+	code := run("", "", path, strings.NewReader(in), &out)
 	if code != 2 {
 		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
 	}
@@ -752,7 +787,7 @@ func TestWriteRouterBadBaselineFile(t *testing.T) {
 				}
 			}
 			var out strings.Builder
-			code := run("", "", "", "", path, "", 1.5, 2.0, 5, 3, 4, strings.NewReader(in), &out)
+			code := run("", "", path, strings.NewReader(in), &out)
 			if code != 2 {
 				t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
 			}
@@ -762,8 +797,8 @@ func TestWriteRouterBadBaselineFile(t *testing.T) {
 
 func TestQuantGatePassesAtBaseline(t *testing.T) {
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "",
+		strings.NewReader(sampleOnlineBench), &out)
 	if code != 0 {
 		t.Fatalf("exit %d, output:\n%s", code, out.String())
 	}
@@ -786,8 +821,8 @@ func TestQuantGateFailsWhenNotFasterThanFloat(t *testing.T) {
 		"BenchmarkDartInferQuant-1  1500  161234 ns/op  1995 storage_bytes  84000 B/op  980 allocs/op",
 		"BenchmarkDartInferQuant-1  1500  260000 ns/op  1995 storage_bytes  84000 B/op  980 allocs/op", 1)
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 2.0, 2.0, 5, 3, 4, strings.NewReader(slow), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "",
+		strings.NewReader(slow), &out)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
 	}
@@ -803,8 +838,8 @@ func TestQuantGateFailsBelowShrink(t *testing.T) {
 		"161234 ns/op  1995 storage_bytes",
 		"161234 ns/op  2500 storage_bytes", 1)
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(bloated), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "",
+		strings.NewReader(bloated), &out)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
 	}
@@ -820,8 +855,8 @@ func TestQuantGateFailsOnRowKernelAlloc(t *testing.T) {
 		"BenchmarkQuantRowAccum-1  40000000  29.8 ns/op  0 B/op  0 allocs/op",
 		"BenchmarkQuantRowAccum-1  40000000  29.8 ns/op  64 B/op  1 allocs/op", 1)
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(leaky), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "",
+		strings.NewReader(leaky), &out)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
 	}
@@ -836,12 +871,12 @@ func TestQuantGateFailsClosedOnMissingBench(t *testing.T) {
 	noQuant := strings.Replace(sampleOnlineBench,
 		"BenchmarkDartInferQuant-1  1500  161234 ns/op  1995 storage_bytes  84000 B/op  980 allocs/op\n", "", 1)
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(noQuant), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "",
+		strings.NewReader(noQuant), &out)
 	if code != 2 {
 		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "quant benchmarks missing") {
+	if !strings.Contains(out.String(), `"quant" benchmarks missing`) {
 		t.Fatalf("output:\n%s", out.String())
 	}
 }
@@ -857,8 +892,8 @@ func TestQuantGateFailsClosedWithoutSection(t *testing.T) {
 		t.Fatal("fixture replace failed")
 	}
 	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, noSection), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
+	code := run(writeBaseline(t), writeServeBaseline(t, noSection), "",
+		strings.NewReader(sampleOnlineBench), &out)
 	if code != 2 {
 		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
 	}
@@ -870,7 +905,7 @@ func TestQuantGateFailsClosedWithoutSection(t *testing.T) {
 func TestWriteQuantPreservesOtherKeys(t *testing.T) {
 	path := writeServeBaseline(t, sampleServeBaseline)
 	var out strings.Builder
-	code := run("", "", "", "", "", path, 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
+	code := run("", "", path, strings.NewReader(sampleOnlineBench), &out)
 	if code != 0 {
 		t.Fatalf("exit %d, output:\n%s", code, out.String())
 	}
@@ -882,14 +917,14 @@ func TestWriteQuantPreservesOtherKeys(t *testing.T) {
 	for _, want := range []string{
 		`"dart_infer_quant_ns": 161234`, `"dart_quant_storage_bytes": 1995`,
 		`"quant_row_ns": 29.8`, `"quant_row_allocs": 0`,
-		`"feedback_ingest_ns": 20`, `"codec_ns": 2100`, `"Throughput": 640000`,
+		`"feedback_ingest_ns": 22.1`, `"codec_ns": 2156`, `"Throughput": 640000`,
 	} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("updated file missing %q:\n%s", want, s)
 		}
 	}
 	// The refreshed file must pass its own gate.
-	code = run(writeBaseline(t), path, "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
+	code = run(writeBaseline(t), path, "", strings.NewReader(sampleOnlineBench), &out)
 	if code != 0 {
 		t.Fatalf("self-gate exit %d:\n%s", code, out.String())
 	}
@@ -901,11 +936,334 @@ func TestWriteQuantRefusesWithoutBenchmem(t *testing.T) {
 	// Quant benchmarks measured without -benchmem: no allocs columns, so the
 	// update must refuse rather than zero the alloc baselines.
 	in := "BenchmarkDartInferQuant-1 1500 161234 ns/op 1995 storage_bytes\nBenchmarkQuantRowAccum-1 40000000 29.8 ns/op\n"
-	code := run("", "", "", "", "", path, 1.5, 2.0, 5, 3, 4, strings.NewReader(in), &out)
+	code := run("", "", path, strings.NewReader(in), &out)
 	if code != 2 {
 		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
 	}
 	if !strings.Contains(out.String(), "-benchmem") {
 		t.Fatalf("output:\n%s", out.String())
+	}
+}
+
+// rowName is how the report names a row; a ratio over sizes keeps its %d.
+func rowName(g gate) string {
+	if g.kind == ratio {
+		return g.name
+	}
+	return g.key
+}
+
+// gateNamed is the table row reported as name.
+func gateNamed(t *testing.T, name string) gate {
+	t.Helper()
+	for _, g := range gates {
+		if rowName(g) == name {
+			return g
+		}
+	}
+	t.Fatalf("no gate row %q", name)
+	return gate{}
+}
+
+// fullParBaseline has every matmul size of the table, so that each
+// BENCH_par.json row can be pushed past its own limit.
+const fullParBaseline = `{
+  "matmul": [
+    {"n": 64,   "serial_ns": 100000,    "par_ns": {"w1": 30000,    "w2": 28000,    "w4": 25000}},
+    {"n": 128,  "serial_ns": 1000000,   "par_ns": {"w1": 200000,   "w2": 190000,   "w4": 190000}},
+    {"n": 256,  "serial_ns": 7700000,   "par_ns": {"w1": 1400000,  "w2": 1600000,  "w4": 1600000}},
+    {"n": 512,  "serial_ns": 70000000,  "par_ns": {"w1": 12000000, "w2": 11500000, "w4": 11000000}},
+    {"n": 1024, "serial_ns": 650000000, "par_ns": {"w1": 80000000, "w2": 82000000, "w4": 80000000}}
+  ],
+  "tabular": {"ns_per_op": 1800000}
+}`
+
+// formatBench renders measurements as go test -bench lines.
+func formatBench(got map[string]float64) string {
+	num := func(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+	var b strings.Builder
+	for _, name := range slices.Sorted(maps.Keys(got)) {
+		if strings.Contains(name, "@") {
+			continue
+		}
+		fmt.Fprintf(&b, "%s-1 1 %s ns/op", name, num(got[name]))
+		if v, ok := got[name+"@storage_bytes"]; ok {
+			fmt.Fprintf(&b, " %s storage_bytes", num(v))
+		}
+		if v, ok := got[name+"@allocs"]; ok {
+			fmt.Fprintf(&b, " %s allocs/op", num(v))
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// serveWith is sampleServeBaseline with the field at ref ("section.field")
+// set to v, or deleted when v is nil.
+func serveWith(t *testing.T, ref string, v any) string {
+	t.Helper()
+	var d map[string]any
+	if err := json.Unmarshal([]byte(sampleServeBaseline), &d); err != nil {
+		t.Fatal(err)
+	}
+	sec, f, _ := strings.Cut(ref, ".")
+	m := d[sec].(map[string]any)
+	if v == nil {
+		delete(m, f)
+	} else {
+		m[f] = v
+	}
+	b, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestEveryGateFailsOnItsOwn walks the table. Pushing any one row's value
+// past its limit must fail that row with exit 1. Removing any input a
+// BENCH_serve.json row reads, measured or recorded, or zeroing a baseline a
+// tolerance or ratio divides by, must fail closed with exit 2; removing a
+// BENCH_par.json row's measurement only warns.
+func TestEveryGateFailsOnItsOwn(t *testing.T) {
+	par := filepath.Join(t.TempDir(), "par.json")
+	if err := os.WriteFile(par, []byte(fullParBaseline), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var base [2]any
+	if err := json.Unmarshal([]byte(fullParBaseline), &base[parDoc]); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(sampleServeBaseline), &base[serveDoc]); err != nil {
+		t.Fatal(err)
+	}
+	got, err := parseBench(strings.NewReader(sampleOnlineBench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gateRun := func(t *testing.T, serve string, m map[string]float64) (int, string) {
+		var out strings.Builder
+		code := run(par, writeServeBaseline(t, serve), "", strings.NewReader(formatBench(m)), &out)
+		return code, out.String()
+	}
+	if code, out := gateRun(t, sampleServeBaseline, got); code != 0 {
+		t.Fatalf("unpushed fixture: exit %d, want 0; output:\n%s", code, out)
+	}
+	// The largest matmul size sampleBench measures on both sides.
+	const speedupSize = 512
+
+	for _, g := range gates {
+		if g.kind == record {
+			continue
+		}
+		t.Run(rowName(g), func(t *testing.T) {
+			t.Run("past limit", func(t *testing.T) {
+				m, serve, name := maps.Clone(got), sampleServeBaseline, rowName(g)
+				switch g.kind {
+				case tol:
+					b, _ := value(base[g.doc], g.section+"."+g.field)
+					m[g.key] = b * tolerance * 1.1
+				case exactAllocs:
+					b, _ := value(base[g.doc], g.section+"."+g.field)
+					m[g.key] = b + 1
+				case ratio:
+					// Move the numerator so the ratio lands 10% past its bar.
+					target := g.bar * 0.9
+					if g.cmp == "<=" {
+						target = g.bar * 1.1
+					}
+					switch {
+					case g.recorded:
+						den, _ := value(base[serveDoc], g.den)
+						serve = serveWith(t, g.num, den*target)
+					case g.sizes != nil:
+						num, den := fmt.Sprintf(g.num, speedupSize), fmt.Sprintf(g.den, speedupSize)
+						m[num] = m[den] * target
+						name = fmt.Sprintf(g.name, speedupSize)
+					default:
+						m[g.num] = m[g.den] * target
+					}
+				}
+				code, out := gateRun(t, serve, m)
+				if code != 1 || !strings.Contains(out, "FAIL "+name+" ") {
+					t.Fatalf("exit %d, want 1 with FAIL %s; output:\n%s", code, name, out)
+				}
+			})
+
+			var keys, refs []string // measured and recorded inputs of the row
+			switch {
+			case g.kind != ratio:
+				keys = []string{g.key}
+			case g.recorded:
+				refs = []string{g.num, g.den}
+			case g.sizes == nil:
+				keys = []string{g.num, g.den}
+			}
+			if g.doc == serveDoc && g.field != "" {
+				refs = append(refs, g.section+"."+g.field)
+			}
+			for _, k := range keys {
+				t.Run("without "+k, func(t *testing.T) {
+					m := maps.Clone(got)
+					delete(m, k)
+					if !strings.Contains(k, "@") { // the whole benchmark line
+						delete(m, k+"@allocs")
+						delete(m, k+"@storage_bytes")
+					}
+					code, out := gateRun(t, sampleServeBaseline, m)
+					switch {
+					case g.doc == parDoc && (code != 0 || !strings.Contains(out, "warn "+k+" ")):
+						t.Fatalf("exit %d, want 0 with a warning for %s; output:\n%s", code, k, out)
+					case g.doc == serveDoc && (code != 2 || !strings.Contains(out, k)):
+						t.Fatalf("exit %d, want 2 naming %s; output:\n%s", code, k, out)
+					}
+				})
+			}
+			for _, ref := range refs {
+				for _, v := range []any{nil, 0.0} {
+					if v != nil && g.kind == exactAllocs {
+						continue // 0 is a valid allocs baseline
+					}
+					t.Run(fmt.Sprintf("baseline %s=%v", ref, v), func(t *testing.T) {
+						code, out := gateRun(t, serveWith(t, ref, v), got)
+						if code != 2 || !strings.Contains(out, ref) {
+							t.Fatalf("exit %d, want 2 naming %s; output:\n%s", code, ref, out)
+						}
+					})
+				}
+			}
+		})
+	}
+}
+
+// TestRatioRendersTwoDecimals: ratios print with two decimals, so a 1.29x
+// margin over a 1x bar does not read as "1 vs 1".
+func TestRatioRendersTwoDecimals(t *testing.T) {
+	var out strings.Builder
+	if code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "",
+		strings.NewReader(sampleOnlineBench), &out); code != 0 {
+		t.Fatalf("exit %d, output:\n%s", code, out.String())
+	}
+	// 321442 / 249812 ns = 1.2867.
+	want := regexp.MustCompile(`(?m)^ok   speedup\(dart vs student infer, same run\) +measured +1\.29  limit +1\.00$`)
+	if !want.MatchString(out.String()) {
+		t.Fatalf("no 1.29 ratio line in output:\n%s", out.String())
+	}
+}
+
+// TestGateOutputIsDeterministic: repeated runs on one input print the same
+// bytes, passing or failing closed.
+func TestGateOutputIsDeterministic(t *testing.T) {
+	par, serve := writeBaseline(t), writeServeBaseline(t, sampleServeBaseline)
+	for _, in := range []string{sampleOnlineBench, sampleBench} {
+		var first string
+		for i := 0; i < 5; i++ {
+			var out strings.Builder
+			run(par, serve, "", strings.NewReader(in), &out)
+			if i == 0 {
+				first = out.String()
+			} else if out.String() != first {
+				t.Fatalf("run %d differs:\n%s\nfirst run:\n%s", i, out.String(), first)
+			}
+		}
+	}
+}
+
+// TestWriteRewritesOwnedFieldsOnly: one -write over a full bench output sets
+// every field a BENCH_serve.json row owns to its measurement, adding the
+// fields and sections the file lacks, and leaves every other key as it was.
+func TestWriteRewritesOwnedFieldsOnly(t *testing.T) {
+	got, err := parseBench(strings.NewReader(sampleOnlineBench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range got {
+		got[k]++ // differ from every baseline value, keeping allocs integral
+	}
+	owned := map[string]string{} // field ref -> measured key
+	for _, g := range gates {
+		if g.doc == serveDoc && g.kind != ratio {
+			owned[g.section+"."+g.field] = g.key
+		}
+	}
+	// flat maps "section.key" (or a top-level key) to its value.
+	flat := func(d any) map[string]any {
+		out := map[string]any{}
+		for top, v := range d.(map[string]any) {
+			sec, ok := v.(map[string]any)
+			if !ok {
+				out[top] = v
+			}
+			for k, kv := range sec {
+				out[top+"."+k] = kv
+			}
+		}
+		return out
+	}
+	for _, start := range []string{
+		sampleServeBaseline,
+		`{"generated": "x", "binary": {"replay_throughput": 1}, "report": {"Throughput": 2}}`,
+	} {
+		path := writeServeBaseline(t, start)
+		var out strings.Builder
+		if code := run("", "", path, strings.NewReader(formatBench(got)), &out); code != 0 {
+			t.Fatalf("exit %d, output:\n%s", code, out.String())
+		}
+		after, err := readDoc(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before any
+		if err := json.Unmarshal([]byte(start), &before); err != nil {
+			t.Fatal(err)
+		}
+		a, b := flat(after), flat(before)
+		for ref, key := range owned {
+			if a[ref] != any(got[key]) {
+				t.Errorf("%s = %v, want the measured %s %v", ref, a[ref], key, got[key])
+			}
+		}
+		for ref, v := range a {
+			if _, ok := owned[ref]; !ok && !reflect.DeepEqual(v, b[ref]) {
+				t.Errorf("%s: %v before -write, %v after", ref, b[ref], v)
+			}
+		}
+		for ref := range b {
+			if _, ok := a[ref]; !ok {
+				t.Errorf("%s dropped by -write", ref)
+			}
+		}
+	}
+}
+
+// TestWriteKeepsLayout: rewriting the committed BENCH_serve.json with the
+// values it already holds reproduces it byte for byte, so a refresh diff
+// shows only the numbers that moved.
+func TestWriteKeepsLayout(t *testing.T) {
+	committed, err := os.ReadFile("../../BENCH_serve.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := readDoc("../../BENCH_serve.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := map[string]float64{}
+	for _, g := range gates {
+		if g.doc == serveDoc && g.kind != ratio {
+			same[g.key], _ = value(d, g.section+"."+g.field)
+		}
+	}
+	path := writeServeBaseline(t, string(committed))
+	var out strings.Builder
+	if code := run("", "", path, strings.NewReader(formatBench(same)), &out); code != 0 {
+		t.Fatalf("exit %d, output:\n%s", code, out.String())
+	}
+	rewritten, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rewritten, committed) {
+		t.Fatalf("rewrite changed the file:\n%s", rewritten)
 	}
 }

@@ -398,7 +398,7 @@ func runRouterMatrix(base serve.ReplaySpec, spec string, soak time.Duration, cha
 // writeRouterJSON records the routed replay in the "router" section of the
 // shared baseline file, preserving every other section. The overhead-gate
 // fields (router_access_ns, direct_access_ns) are owned by `dart-benchcheck
-// -write-router`; this writes only the replay fields.
+// -write`; this writes only the replay fields.
 func writeRouterJSON(path string, rep serve.Report) {
 	doc := map[string]json.RawMessage{}
 	if prev, err := os.ReadFile(path); err == nil {

@@ -555,8 +555,8 @@ func orNone(s string) string {
 // bench-update`), the "binary" section (DARTWIRE1 replay + codec baselines),
 // and the "report" section (the JSON-wire replay baseline the binary
 // speedup gate divides against). A -proto binary run updates only the
-// replay fields of the "binary" section (dart-benchcheck -write-binary owns
-// the codec fields); any other run rewrites the report/host fields.
+// replay fields of the "binary" section (dart-benchcheck -write owns the
+// codec fields); any other run rewrites the report/host fields.
 func writeJSON(path string, rep serve.Report, proto string, batch int) {
 	doc := map[string]json.RawMessage{}
 	if prev, err := os.ReadFile(path); err == nil {

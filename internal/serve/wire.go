@@ -166,49 +166,27 @@ func appendWireRequest(buf []byte, kind byte, tag uint64, sid string, recs []tra
 	return finishFrame(buf, start)
 }
 
-// decodeJob parses an access or batch request payload into j, returning the
-// session id — which aliases p and is only valid until the connection's next
-// frame read. Instruction-id deltas accumulate with uint64 wraparound, so
-// non-monotone ids survive a round trip exactly (just less compactly).
+// decodeJob parses an access or batch request payload into j through
+// DecodeAccessRequest, returning the session id — which aliases p and is
+// only valid until the connection's next frame read.
 func decodeJob(kind byte, p []byte, j *wireJob) ([]byte, error) {
-	j.recs = j.recs[:0]
-	tag, p, err := readUvarint(p)
+	tag, sid, recs, err := DecodeAccessRequest(kind, p, j.recs[:0])
+	j.recs = recs
 	if err != nil {
 		return nil, err
 	}
 	j.tag = tag
-	n, p, err := readUvarint(p)
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(p)) {
-		return nil, fmt.Errorf("serve: wire session id length %d exceeds payload", n)
-	}
-	sid := p[:n]
-	p = p[n:]
-	count := uint64(1)
 	j.kind = frameAccessReply
 	if kind == frameBatch {
 		j.kind = frameBatchReply
-		count, p, err = readUvarint(p)
-		if err != nil {
-			return nil, err
-		}
-		// Each record is at least 4 bytes, so a count beyond the payload
-		// length is corruption — reject before sizing the record slice.
-		if count > uint64(len(p)) {
-			return nil, fmt.Errorf("serve: wire batch count %d exceeds payload", count)
-		}
-	}
-	if j.recs, err = parseWireRecords(p, count, j.recs); err != nil {
-		return nil, err
 	}
 	return sid, nil
 }
 
 // parseWireRecords decodes count varint-packed access records off p into
 // recs, requiring the payload to end exactly at the last record. Instruction-
-// id deltas accumulate with uint64 wraparound (see decodeJob).
+// id deltas accumulate with uint64 wraparound, so non-monotone ids survive a
+// round trip exactly (just less compactly).
 func parseWireRecords(p []byte, count uint64, recs []trace.Record) ([]trace.Record, error) {
 	var prev uint64
 	var err error

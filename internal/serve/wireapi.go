@@ -74,6 +74,8 @@ func DecodeAccessRequest(kind byte, p []byte, recs []trace.Record) (tag uint64, 
 		if count, p, err = readUvarint(p); err != nil {
 			return 0, nil, recs, err
 		}
+		// Each record is at least 4 bytes, so a count beyond the payload
+		// length is corruption — reject before sizing the record slice.
 		if count > uint64(len(p)) {
 			return 0, nil, recs, fmt.Errorf("serve: wire batch count %d exceeds payload", count)
 		}
